@@ -205,7 +205,6 @@ class Study:
                 resume=bool(resume) and _existing(validation_store),
                 progress=progress,
                 chunk_size=execution.chunk_size,
-                chunk_policy=execution.chunk_policy,
                 memo=memo,
             )
         return StudyResult(spec=spec, sweep=sweep, campaign=campaign)
@@ -349,7 +348,6 @@ class StudyBuilder:
         *,
         workers: int | None = None,
         chunk_size: int | None = None,
-        chunk_policy: str | None = None,
         store_dir=None,
         sweep_store=None,
         validation_store=None,
@@ -362,7 +360,6 @@ class StudyBuilder:
         self._execution = ExecutionSpec(
             workers=workers,
             chunk_size=chunk_size,
-            chunk_policy=chunk_policy,
             store_dir=store_dir,
             sweep_store=sweep_store,
             validation_store=validation_store,

@@ -82,10 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--resume", action="store_true",
                        help="resume both pipeline stages from their checkpoints "
                             "(requires checkpoint stores in the spec or --store-dir)")
-    p_run.add_argument("--chunk-policy", type=str, default=None, metavar="POLICY",
-                       help="shard the validation campaign adaptively: 'adaptive' "
-                            "(~1.5 s of measured work per shard), 'target:SECONDS' "
-                            "or 'cells:N'")
     p_run.add_argument("--memo", action="store_true",
                        help="serve previously-computed cells from the result memo "
                             "cache and write fresh cells back to it")
@@ -166,10 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "exact DES (default: 0.85)")
     p_val.add_argument("--workers", type=int, default=None,
                        help="worker processes for the campaign (default: run serially)")
-    p_val.add_argument("--chunk-policy", type=str, default=None, metavar="POLICY",
-                       help="shard the validation campaign adaptively: 'adaptive' "
-                            "(~1.5 s of measured work per shard), 'target:SECONDS' "
-                            "or 'cells:N'")
     p_val.add_argument("--memo", action="store_true",
                        help="serve previously-computed cells from the result memo "
                             "cache and write fresh cells back to it")
@@ -215,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "over --workers processes)")
     p_serve.add_argument("--workers", type=int, default=None,
                          help="process-pool width per job (default: serial)")
-    p_serve.add_argument("--chunk-policy", type=str, default=None, metavar="POLICY",
-                         help="campaign sharding policy per job: 'adaptive', "
-                              "'target:SECONDS' or 'cells:N'")
     p_serve.add_argument("--validation-shards", type=int, default=None, metavar="N",
                          help="checkpoint each campaign into N writer-safe shard "
                               "stores (merged byte-identically on load)")
@@ -337,8 +326,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             overrides["validation_store"] = None
         if args.resume:
             overrides["resume"] = True
-        if args.chunk_policy is not None:
-            overrides["chunk_policy"] = args.chunk_policy
         if args.memo or args.memo_path is not None:
             overrides["memo"] = True
         if args.memo_path is not None:
@@ -491,7 +478,6 @@ def validation_study_spec(
     screen_threshold: float = 0.85,
     workers: int | None = None,
     validation_store=None,
-    chunk_policy: str | None = None,
     memo: bool = False,
     memo_path=None,
 ):
@@ -517,7 +503,6 @@ def validation_study_spec(
         algorithms=sweep_plan.algorithms,
         execution=ExecutionSpec(
             workers=workers,
-            chunk_policy=chunk_policy,
             sweep_store=str(sweep_store),
             validation_store=None if validation_store is None else str(validation_store),
             resume=True,
@@ -580,7 +565,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             screen_threshold=args.screen_threshold,
             workers=args.workers,
             validation_store=args.out,
-            chunk_policy=args.chunk_policy,
             memo=args.memo,
             memo_path=args.memo_path,
         )
@@ -689,7 +673,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             jobs=args.jobs,
             workers=args.workers,
-            chunk_policy=args.chunk_policy,
             validation_shards=args.validation_shards,
             memo_path=args.memo_path,
             request_timeout=args.request_timeout,

@@ -46,59 +46,11 @@ __all__ = [
     "plan_work_units",
     "execute_work_unit",
     "execute_unit",
-    "parse_chunk_policy",
-    "backend_width",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
     "make_backend",
 ]
-
-#: Per-shard wall-clock the adaptive chunk policy aims for.  Large enough
-#: that fork + pickle + result-transfer overhead (a few ms per unit) is
-#: noise, small enough that checkpoint granularity and work stealing stay
-#: useful (ISSUE 7 names 1-2 s as the target band).
-DEFAULT_CHUNK_TARGET_SECONDS = 1.5
-
-
-def parse_chunk_policy(policy: "str | None") -> "tuple[str, float] | None":
-    """Parse an :class:`~repro.experiments.spec.ExecutionSpec` chunk policy.
-
-    Three forms are accepted (``None`` means "no policy": keep the legacy
-    per-cell sharding byte-for-byte):
-
-    * ``"adaptive"`` — measure one cell, size shards to
-      :data:`DEFAULT_CHUNK_TARGET_SECONDS` of work each;
-    * ``"target:SECONDS"`` — like ``adaptive`` with an explicit per-shard
-      wall-clock target;
-    * ``"cells:N"`` — fixed shards of ``N`` grid cells each.
-
-    Returns ``("target", seconds)`` or ``("cells", n)``; raises
-    :class:`~repro.core.exceptions.ConfigurationError` on anything else.
-    """
-    if policy is None:
-        return None
-    text = str(policy).strip()
-    if text == "adaptive":
-        return ("target", DEFAULT_CHUNK_TARGET_SECONDS)
-    kind, sep, value = text.partition(":")
-    if sep and kind in ("target", "cells") and value:
-        try:
-            if kind == "cells":
-                cells = int(value)
-                if cells < 1:
-                    raise ValueError
-                return ("cells", float(cells))
-            seconds = float(value)
-            if not seconds > 0:
-                raise ValueError
-            return ("target", seconds)
-        except ValueError:
-            pass
-    raise ConfigurationError(
-        f"unknown chunk policy {policy!r} (choose 'adaptive', 'target:SECONDS' "
-        f"or 'cells:N')"
-    )
 
 
 def make_backend(
@@ -118,17 +70,6 @@ def make_backend(
     if workers == 1:
         return SerialBackend()
     return ProcessPoolBackend(workers, mp_context=mp_context)
-
-
-def backend_width(backend) -> int:
-    """How many units a backend executes concurrently (1 for serial/None).
-
-    The single place that inspects a backend's parallelism — the chunking
-    driver caps shard spans with it and the sharded store sizes its default
-    shard count from it, so a backend that spells its width differently only
-    has to be taught about here.
-    """
-    return int(getattr(backend, "workers", 1) or 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,21 +190,15 @@ def execute_unit(plan, unit, *, check: bool = False, capture_allocations: bool =
 #: task only a bare integer position travels over the pipe, and the
 #: plan-derived worker state (configurations, problems, resolved allocations;
 #: see ``_plan_context`` in :mod:`repro.experiments.validation`) is built
-#: once per worker process and reused across every shard it executes.
+#: once per worker process and reused across every unit it executes.
 _WORKER_PLAN = None
-_WORKER_UNITS: "tuple | None" = None
+_WORKER_UNITS: tuple = ()
 
 
-def _initialize_worker(plan, units: "tuple | None" = None) -> None:
+def _initialize_worker(plan, units: tuple) -> None:
     global _WORKER_PLAN, _WORKER_UNITS
     _WORKER_PLAN = plan
     _WORKER_UNITS = units
-
-
-def _execute_with_worker_plan(unit, *, check: bool = False, capture_allocations: bool = False):
-    return execute_unit(
-        _WORKER_PLAN, unit, check=check, capture_allocations=capture_allocations
-    )
 
 
 def _execute_indexed(position: int, *, check: bool = False, capture_allocations: bool = False):
@@ -324,10 +259,13 @@ class ProcessPoolBackend:
     worker process (pool initializer), each submitted task is a bare unit
     *position*, and plan-derived objects (configurations, problems, resolved
     allocations) are cached process-wide on the worker side and reused across
-    every shard it executes.  The default start method is ``forkserver``
+    every unit the worker executes — so a unit costs one integer over the
+    pipe however small it is.  The default start method is ``forkserver``
     (where available) with this module preloaded, so worker processes fork
-    from a small warmed-up server instead of the full driver process;
-    ``mp_context`` overrides the method explicitly.
+    from a small warmed-up server instead of the full driver process.  Only
+    the first pool of a process pays the server's start-up; later pools
+    reuse the running server.  ``mp_context`` overrides the method
+    explicitly.
     """
 
     def __init__(

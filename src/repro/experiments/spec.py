@@ -189,7 +189,6 @@ class ExecutionSpec:
 
     workers: int | None = None
     chunk_size: int | None = None
-    chunk_policy: str | None = None
     store_dir: str | None = None
     sweep_store: str | None = None
     validation_store: str | None = None
@@ -202,7 +201,6 @@ class ExecutionSpec:
     _FIELDS = (
         "workers",
         "chunk_size",
-        "chunk_policy",
         "store_dir",
         "sweep_store",
         "validation_store",
@@ -217,7 +215,6 @@ class ExecutionSpec:
     _EXECUTION_ONLY = (
         "workers",
         "chunk_size",
-        "chunk_policy",
         "store_dir",
         "sweep_store",
         "validation_store",
@@ -238,16 +235,6 @@ class ExecutionSpec:
             if self.chunk_size <= 0:
                 raise ConfigurationError(
                     f"chunk_size must be positive, got {self.chunk_size}"
-                )
-        if self.chunk_policy is not None:
-            from .backends import parse_chunk_policy
-
-            object.__setattr__(self, "chunk_policy", str(self.chunk_policy))
-            parse_chunk_policy(self.chunk_policy)  # reject bad policies eagerly
-            if self.chunk_size is not None:
-                raise ConfigurationError(
-                    "chunk_size and chunk_policy are mutually exclusive; "
-                    "pick one way to shape the shards"
                 )
         for field_name in ("store_dir", "sweep_store", "validation_store", "memo_path"):
             object.__setattr__(self, field_name, _as_path_text(getattr(self, field_name)))
@@ -316,8 +303,14 @@ class ExecutionSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionSpec":
-        _reject_unknown(data, cls._FIELDS, "execution spec")
-        return cls(**dict(data))
+        fields = dict(data)
+        # older specs spell out a removed "chunk_policy" field as null; a
+        # non-null value asks for a sharding that no longer exists, so it
+        # stays an unknown-field error
+        if "chunk_policy" in fields and fields["chunk_policy"] is None:
+            del fields["chunk_policy"]
+        _reject_unknown(fields, cls._FIELDS, "execution spec")
+        return cls(**fields)
 
 
 # --------------------------------------------------------------------------- #

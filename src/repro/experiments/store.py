@@ -43,6 +43,19 @@ __all__ = [
 
 _STORE_VERSION = 1
 
+#: What a ``from_dict`` raises on a row of the wrong shape: a missing key, a
+#: value of the wrong type, a non-numeric string, a short list.
+_MALFORMED_ROW = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
+
+def _malformed_row(path: Path, number: int, exc: Exception) -> ConfigurationError:
+    """The one-line error for a checkpoint row this version cannot parse."""
+    detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ConfigurationError(
+        f"{path} line {number} is not a unit or record row this version can "
+        f"read ({detail}); refusing to load it"
+    )
+
 
 def plan_fingerprint(plan: ExperimentPlan) -> str:
     """SHA-256 of the canonical plan serialisation (hex digest)."""
@@ -128,21 +141,6 @@ class JsonlCheckpointStore:
         self._begin_fresh_file(self._header(plan))
         return {}
 
-    def peek_units(self) -> dict[int, dict]:
-        """The stored unit dicts, keyed by index (``{}`` when no file exists).
-
-        A read-only look at how an existing checkpoint was sharded, used by
-        the adaptive-chunking driver to reproduce the original sharding on
-        resume instead of re-probing (a fresh probe could pick a different
-        span, which :meth:`initialize` would then rightly refuse).  No
-        fingerprint check happens here — :meth:`initialize` still performs
-        the full validation before anything is appended.
-        """
-        if not self.path.exists():
-            return {}
-        _, _, stored_units = self._load_checkpoint(None)
-        return stored_units
-
     def append(self, unit, records: list) -> None:
         """Checkpoint one completed work unit (durable append)."""
         append_jsonl(
@@ -199,8 +197,12 @@ class JsonlCheckpointStore:
             self._refuse_row(row, number)
             if row.get("kind") != "unit":
                 continue
-            unit = self._unit_from_dict(row["unit"])
-            completed[unit.index] = [self._record_from_dict(entry) for entry in row["records"]]
+            try:
+                unit = self._unit_from_dict(row["unit"])
+                records = [self._record_from_dict(entry) for entry in row["records"]]
+            except _MALFORMED_ROW as exc:
+                raise _malformed_row(self.path, number, exc) from None
+            completed[unit.index] = records
             stored_units[unit.index] = unit.as_dict()
         return stored_plan, completed, stored_units
 
@@ -358,8 +360,8 @@ class ShardedStore:
     foreign single-store checkpoint.
 
     The class duck-types the store interface the drivers use
-    (:meth:`initialize` / :meth:`peek_units` / :meth:`append`, plus a
-    ``path`` attribute for messages), so :func:`run_validation` and
+    (:meth:`initialize` / :meth:`append`, plus a ``path`` attribute for
+    messages), so :func:`run_validation` and
     :func:`~repro.experiments.runner.run_plan` take a ``ShardedStore``
     anywhere they take a single store.  Units are routed to shards by
     ``unit.index % shards``; merging is keyed by unit index with
@@ -455,14 +457,6 @@ class ShardedStore:
             self.store_type(self._shard_path(number)).initialize(plan)
         return {}
 
-    def peek_units(self) -> dict[int, dict]:
-        """Stored unit dicts merged across shards (first-shard-wins), ``{}`` if none."""
-        merged: dict[int, dict] = {}
-        for shard in self._existing_shards():
-            for index, data in shard.peek_units().items():
-                merged.setdefault(index, data)
-        return merged
-
     def append(self, unit, records: list) -> None:
         """Checkpoint one completed unit into its shard (durable append)."""
         self.shard_for(unit.index).append(unit, records)
@@ -528,12 +522,15 @@ def load_sweep_result(path: str | Path, *, allow_partial: bool = False) -> Sweep
         if not isinstance(row, Mapping):
             raise ConfigurationError(f"{path} line {number} is not a JSON object")
         kind = row.get("kind")
-        if kind == "record":
-            saw_record = True
-            result.records.append(RunRecord.from_dict(row))
-        elif kind == "unit":
-            unit = WorkUnit.from_dict(row["unit"])
-            units[unit.index] = [RunRecord.from_dict(entry) for entry in row["records"]]
+        try:
+            if kind == "record":
+                saw_record = True
+                result.records.append(RunRecord.from_dict(row))
+            elif kind == "unit":
+                unit = WorkUnit.from_dict(row["unit"])
+                units[unit.index] = [RunRecord.from_dict(entry) for entry in row["records"]]
+        except _MALFORMED_ROW as exc:
+            raise _malformed_row(path, number, exc) from None
     if saw_record and not _ends_with_newline(path):
         # a torn tail is tolerable in an append-only checkpoint (the lost unit
         # just re-runs on resume) but in a save_sweep_result file it means the

@@ -57,8 +57,7 @@ from ..simulation.engine import StreamSimulator
 from ..simulation.scenarios import DEFAULT_SCENARIO, ScenarioSpec
 from ..solvers.registry import ensure_default_solvers
 from ..utils.rng import derive_seed, stable_text_digest
-from ..utils.timing import timed
-from .backends import SerialBackend, backend_width, parse_chunk_policy
+from .backends import SerialBackend
 from .config import ExperimentPlan, plan_from_dict, plan_to_dict
 from .memo import MemoStats, ResultMemoStore, memo_key
 from .metrics import SeriesByAlgorithm
@@ -70,12 +69,10 @@ __all__ = [
     "scenario_seed",
     "ValidationPlan",
     "ValidationUnit",
-    "ValidationChunk",
     "ValidationRecord",
     "CampaignResult",
     "ValidationStore",
     "plan_from_sweep",
-    "plan_cells",
     "plan_validation_units",
     "validation_plan_to_dict",
     "validation_plan_from_dict",
@@ -462,11 +459,15 @@ class ValidationRecord:
 
 @dataclass(frozen=True, slots=True)
 class ValidationUnit:
-    """One campaign shard: sources at one (horizon, multiplier, scenario).
+    """One campaign work unit: sources at one (horizon, multiplier, scenario).
 
-    Like the sweep's :class:`~repro.experiments.backends.WorkUnit` it carries
-    indices only; the executing side looks the sources and the scenario up in
-    the (pickled) plan and regenerates each source's configuration from the
+    The sources all belong to one sweep configuration — all of them by
+    default, at most ``chunk_size`` of them when
+    :func:`plan_validation_units` is given one; this is the campaign's only
+    unit shape.  Like the sweep's
+    :class:`~repro.experiments.backends.WorkUnit` it carries indices only;
+    the executing side looks the sources and the scenario up in the
+    (pickled) plan and regenerates each source's configuration from the
     sweep seeds.  ``scenario`` indexes ``plan.scenarios`` and is omitted from
     the dict form when ``0`` — the only value pre-scenario checkpoints could
     have held — so their sharding check keeps passing.
@@ -531,59 +532,6 @@ class ValidationUnit:
         ]
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationChunk:
-    """One adaptively-sized campaign shard: a contiguous span of grid cells.
-
-    Where :class:`ValidationUnit` is bound to a single (horizon, multiplier,
-    scenario) cell of the grid, a chunk spans ``[start, stop)`` of the plan's
-    canonical cell list (:func:`plan_cells`) — many sources, horizons,
-    multipliers and scenarios in one picklable value, sized so each shard
-    carries enough simulation work to amortise the process-pool's per-task
-    overhead.  ``index`` is the chunk's position in the canonical unit order
-    (chunks tile the cell list in order), so checkpoint lines and reassembly
-    work exactly as for per-cell units; the dict form carries a ``"cells"``
-    span, which is how :class:`ValidationStore` tells the two shapes apart.
-    """
-
-    index: int
-    start: int
-    stop: int
-
-    def __reduce__(self):
-        # see ValidationUnit.__reduce__ (Python 3.10 frozen+slots pickling)
-        return (self.__class__, (self.index, self.start, self.stop))
-
-    def as_dict(self) -> dict:
-        return {"index": self.index, "cells": [self.start, self.stop]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ValidationChunk":
-        start, stop = data["cells"]
-        return cls(index=int(data["index"]), start=int(start), stop=int(stop))
-
-    def execute(
-        self,
-        plan: ValidationPlan,
-        *,
-        check: bool = False,
-        capture_allocations: bool = False,
-    ) -> list[ValidationRecord]:
-        """Simulate this chunk's cell span (worker-process entry point)."""
-        context = _plan_context(plan)
-        return [
-            _simulate_cell(plan, context, *cell)
-            for cell in context.cells[self.start : self.stop]
-        ]
-
-
-def _validation_unit_from_dict(data: Mapping):
-    """Checkpoint dispatch: a ``"cells"`` span is a chunk, anything else a unit."""
-    if "cells" in data:
-        return ValidationChunk.from_dict(data)
-    return ValidationUnit.from_dict(data)
-
-
 class _ExecutionContext:
     """Per-process cache of the deterministic objects a plan's cells share.
 
@@ -603,13 +551,6 @@ class _ExecutionContext:
         self._configurations: dict[int, Any] = {}
         self._problems: dict[tuple[int, float], Any] = {}
         self._allocations: dict[int, Any] = {}
-        self._cells: "list[tuple[float, float, int, int]] | None" = None
-
-    @property
-    def cells(self) -> "list[tuple[float, float, int, int]]":
-        if self._cells is None:
-            self._cells = plan_cells(self.plan)
-        return self._cells
 
     def configuration(self, index: int):
         configuration = self._configurations.get(index)
@@ -648,7 +589,7 @@ def _plan_context(plan: ValidationPlan) -> _ExecutionContext:
     """The process-wide execution context of ``plan`` (one live slot).
 
     Keyed by object identity: in a pool worker the plan is the one object the
-    initializer shipped, so all shards the worker executes share a context;
+    initializer shipped, so all units the worker executes share a context;
     a serial driver running several plans in turn rebuilds the slot per plan.
     """
     global _CONTEXT
@@ -665,11 +606,10 @@ def _simulate_cell(
     scenario_index: int,
     source_index: int,
 ) -> ValidationRecord:
-    """Run one grid cell — the shared body of every unit shape.
+    """Run one grid cell of a :class:`ValidationUnit`.
 
-    Byte-for-byte the record the original per-unit loop produced: the
-    simulation seed depends only on (source, scenario), so how cells are
-    grouped into units can never change a record.
+    The simulation seed depends only on (source, scenario), so how sources
+    are grouped into units (``chunk_size``) can never change a record.
     """
     source = plan.sources[source_index]
     scenario = plan.scenarios[scenario_index]
@@ -786,76 +726,19 @@ def _resolve_allocation(sweep_plan: ExperimentPlan, source: AllocationSource, pr
     return spec.build(seed=seed).solve(problem, check=False).allocation
 
 
-def plan_cells(plan: ValidationPlan) -> list[tuple[float, float, int, int]]:
-    """The campaign grid as a flat ``(horizon, multiplier, scenario, source)`` list.
-
-    This is the *canonical cell order*: exactly the order in which the default
-    (unchunked) unit list emits records — horizons × multipliers × scenarios
-    outermost, sources grouped per sweep configuration innermost.  Chunked
-    units tile this list in contiguous spans, which is what keeps a chunked
-    campaign's record stream byte-identical to an unchunked one regardless of
-    chunk size.
-    """
-    source_order = [index for chunk in _source_chunks(plan, None) for index in chunk]
-    cells: list[tuple[float, float, int, int]] = []
-    for horizon in plan.horizons:
-        for multiplier in plan.rate_multipliers:
-            for scenario_index in range(len(plan.scenarios)):
-                for source_index in source_order:
-                    cells.append(
-                        (float(horizon), float(multiplier), scenario_index, source_index)
-                    )
-    return cells
-
-
-def _unit_cells(plan: ValidationPlan, unit, cells) -> list[tuple[float, float, int, int]]:
-    """The grid cells a unit covers, in its record-emission order."""
-    if isinstance(unit, ValidationChunk):
-        return list(cells[unit.start : unit.stop])
-    return [
-        (unit.horizon, unit.rate_multiplier, unit.scenario, source_index)
-        for source_index in unit.sources
-    ]
-
-
 def plan_validation_units(
-    plan: ValidationPlan,
-    *,
-    chunk_size: int | None = None,
-    cells_per_unit: int | None = None,
-) -> list:
+    plan: ValidationPlan, *, chunk_size: int | None = None
+) -> list[ValidationUnit]:
     """Shard a campaign into its canonical list of work units.
 
-    Two sharding shapes share the same record order:
-
-    * the default (``cells_per_unit=None``) emits one :class:`ValidationUnit`
-      per (horizon, multiplier, scenario, configuration) group —
-      ``chunk_size`` optionally bounds the number of sources per unit;
-    * ``cells_per_unit=N`` emits :class:`ValidationChunk` spans tiling the
-      canonical cell list (:func:`plan_cells`) ``N`` cells at a time — the
-      adaptive-sharding shape, whose per-shard cost the driver sizes from a
-      measured per-cell estimate.
-
-    The scenario loop sits innermost of the grid axes, so a single-scenario
-    plan produces exactly the unit list (and indices) of the pre-scenario
-    format.
+    One :class:`ValidationUnit` per (horizon, multiplier, scenario,
+    configuration) group; ``chunk_size`` optionally bounds the number of
+    sources per unit.  The scenario loop sits innermost of the grid axes, so
+    a single-scenario plan produces exactly the unit list (and indices) of
+    the pre-scenario format.
     """
     if chunk_size is not None and chunk_size <= 0:
         raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
-    if cells_per_unit is not None:
-        if chunk_size is not None:
-            raise ConfigurationError(
-                "chunk_size and cells_per_unit are mutually exclusive"
-            )
-        if cells_per_unit <= 0:
-            raise ConfigurationError(
-                f"cells_per_unit must be positive, got {cells_per_unit}"
-            )
-        total = len(plan_cells(plan))
-        return [
-            ValidationChunk(index=index, start=start, stop=min(start + cells_per_unit, total))
-            for index, start in enumerate(range(0, total, cells_per_unit))
-        ]
     units: list[ValidationUnit] = []
     for horizon in plan.horizons:
         for multiplier in plan.rate_multipliers:
@@ -1146,7 +1029,7 @@ class ValidationStore(JsonlCheckpointStore):
     _fingerprint = staticmethod(validation_fingerprint)
     _plan_to_dict = staticmethod(validation_plan_to_dict)
     _plan_from_dict = staticmethod(validation_plan_from_dict)
-    _unit_from_dict = staticmethod(_validation_unit_from_dict)
+    _unit_from_dict = staticmethod(ValidationUnit.from_dict)
     _record_from_dict = staticmethod(ValidationRecord.from_dict)
 
 
@@ -1236,8 +1119,8 @@ def _memo_study_key(plan: ValidationPlan) -> str:
     )
 
 
-def _memo_cell_key(plan: ValidationPlan, cell: tuple[float, float, int, int]) -> str:
-    """The memo-cache fingerprint of one grid cell.
+def _memo_cell_keys(plan: ValidationPlan, unit: ValidationUnit) -> list[str]:
+    """The memo-cache fingerprints of a unit's grid cells, in record order.
 
     The source dict carries the captured allocation payload, so a cell solved
     to a different allocation (or re-solved without capture) can never be
@@ -1245,111 +1128,21 @@ def _memo_cell_key(plan: ValidationPlan, cell: tuple[float, float, int, int]) ->
     injection spec, so a renamed-but-identical scenario still hits while any
     parameter change misses.
     """
-    horizon, rate_multiplier, scenario_index, source_index = cell
-    return memo_key(
-        {
-            "source": plan.sources[source_index].as_dict(),
-            "horizon": horizon,
-            "rate_multiplier": rate_multiplier,
-            "scenario": plan.scenarios[scenario_index].as_dict(),
-        }
-    )
-
-
-def _probe_cell_seconds(plan: ValidationPlan, cells) -> float:
-    """Measure one cell's wall-clock cost, scaled to the grid's mean horizon.
-
-    Runs the first canonical cell once (its record is discarded — the real
-    run recomputes it, so determinism is untouched) and scales the elapsed
-    time by mean-horizon/probe-horizon, since simulation cost is roughly
-    linear in the horizon.
-    """
-    context = _plan_context(plan)
-    probe = cells[0]
-    with timed() as clock:
-        _simulate_cell(plan, context, *probe)
-    elapsed = max(clock[0], 1e-6)
-    probe_horizon = probe[0]
-    mean_horizon = sum(cell[0] for cell in cells) / len(cells)
-    return elapsed * (mean_horizon / probe_horizon)
-
-
-def _chunked_cells_per_unit(
-    plan: ValidationPlan,
-    cells,
-    *,
-    policy: tuple[str, float],
-    backend,
-    store: "ValidationStore | None",
-    resume: bool,
-) -> int:
-    """Pick the cell span per chunk for a policy-driven run.
-
-    On resume against an existing chunked checkpoint the span is recovered
-    from the stored unit dicts (re-probing could pick a different span and
-    the store refuses mismatched sharding); otherwise ``cells:N`` is taken
-    literally and ``target:SECONDS`` divides the target by a measured
-    per-cell cost.  With a multi-worker backend the span is capped so every
-    worker gets several chunks — load balance beats amortisation once chunks
-    are big enough.
-    """
-    if resume and store is not None:
-        stored = store.peek_units()
-        if stored:
-            first = min(stored.values(), key=lambda data: data["index"])
-            if "cells" in first:
-                start, stop = first["cells"]
-                if first["index"] > 0:
-                    return max(1, int(start) // int(first["index"]))
-                return max(1, int(stop) - int(start))
-            # the checkpoint was written unchunked; keep its sharding
-            return 0
-    kind, value = policy
-    if kind == "cells":
-        cells_per_unit = int(value)
-    else:
-        per_cell = _probe_cell_seconds(plan, cells)
-        cells_per_unit = max(1, int(value / per_cell))
-    workers = backend_width(backend)
-    if workers > 1:
-        cells_per_unit = min(
-            cells_per_unit, max(1, math.ceil(len(cells) / (4 * workers)))
+    scenario = plan.scenarios[unit.scenario].as_dict()
+    return [
+        memo_key(
+            {
+                "source": plan.sources[source_index].as_dict(),
+                "horizon": unit.horizon,
+                "rate_multiplier": unit.rate_multiplier,
+                "scenario": scenario,
+            }
         )
-    return max(1, cells_per_unit)
+        for source_index in unit.sources
+    ]
 
 
-def _plan_units_for_run(
-    plan: ValidationPlan,
-    *,
-    backend,
-    store: "ValidationStore | None",
-    resume: bool,
-    chunk_size: int | None,
-    chunk_policy: "str | None",
-) -> list:
-    """Shard the campaign for one driver run, honouring the chunk policy."""
-    policy = parse_chunk_policy(chunk_policy)
-    if policy is None:
-        return plan_validation_units(plan, chunk_size=chunk_size)
-    if chunk_size is not None:
-        raise ConfigurationError(
-            "chunk_size and chunk_policy are mutually exclusive; "
-            "pick one way to shape the shards"
-        )
-    cells = plan_cells(plan)
-    if not cells:
-        return plan_validation_units(plan)
-    cells_per_unit = _chunked_cells_per_unit(
-        plan, cells, policy=policy, backend=backend, store=store, resume=resume
-    )
-    if cells_per_unit == 0:  # resuming an unchunked checkpoint
-        return plan_validation_units(plan)
-    return plan_validation_units(plan, cells_per_unit=cells_per_unit)
-
-
-def _unit_label(plan: ValidationPlan, unit) -> str:
-    if isinstance(unit, ValidationChunk):
-        return f"cells {unit.start}..{unit.stop}"
+def _unit_label(plan: ValidationPlan, unit: ValidationUnit) -> str:
     return (
         f"horizon {unit.horizon:g}, rate x{unit.rate_multiplier:g}, "
         f"scenario {plan.scenarios[unit.scenario].name}"
@@ -1364,7 +1157,6 @@ def run_validation(
     resume: bool = False,
     progress: Callable[[str], None] | None = None,
     chunk_size: int | None = None,
-    chunk_policy: "str | None" = None,
     memo: "ResultMemoStore | str | Path | None" = None,
 ) -> CampaignResult:
     """Execute a validation campaign and collect every record.
@@ -1378,11 +1170,10 @@ def run_validation(
     reassembled in canonical unit order, so backend choice and completion
     order never change the result — the simulation itself is deterministic.
 
-    ``chunk_policy`` (``'adaptive'``, ``'target:SECONDS'`` or ``'cells:N'``)
-    switches sharding from one unit per grid cell to contiguous
-    :class:`ValidationChunk` spans of the canonical cell list, sized so each
-    shard amortises the pool's fork/pickle overhead; record bytes are
-    identical either way.  ``memo`` attaches a
+    ``chunk_size`` caps the sources per unit (see
+    :func:`plan_validation_units`); record bytes are identical for any value,
+    but a resumed run must use the value the checkpoint was written with.
+    ``memo`` attaches a
     :class:`~repro.experiments.memo.ResultMemoStore`: cells whose
     ``(study, cell)`` fingerprints are cached are served without simulating,
     freshly computed cells are written back, and the result's ``memo_stats``
@@ -1400,14 +1191,7 @@ def run_validation(
         memo = ResultMemoStore(memo)
     if backend is None:
         backend = SerialBackend()
-    units = _plan_units_for_run(
-        plan,
-        backend=backend,
-        store=store,
-        resume=resume,
-        chunk_size=chunk_size,
-        chunk_policy=chunk_policy,
-    )
+    units = plan_validation_units(plan, chunk_size=chunk_size)
     total = len(units)
     completed: dict[int, list[ValidationRecord]] = {}
     if store is not None:
@@ -1423,10 +1207,9 @@ def run_validation(
     study_key = _memo_study_key(plan) if memo is not None else ""
     if memo is not None and pending:
         memo_stats = MemoStats()
-        cells = plan_cells(plan)
         still_pending: list = []
         for unit in pending:
-            keys = [_memo_cell_key(plan, cell) for cell in _unit_cells(plan, unit, cells)]
+            keys = _memo_cell_keys(plan, unit)
             cached = [memo.lookup(study_key, key) for key in keys]
             if keys and all(entry is not None for entry in cached):
                 records = [

@@ -8,8 +8,8 @@ share its results.  The :class:`JobManager` runs jobs on a bounded thread
 pool; each job drives the ordinary :class:`repro.api.Study` pipeline with a
 service-owned :class:`~repro.experiments.spec.ExecutionSpec`: its own
 checkpoint store directory under the service's store root, ``resume=True``,
-the shared memo cache, and optionally a process pool, a chunk policy and a
-sharded validation store.
+the shared memo cache, and optionally a process pool and a sharded
+validation store.
 
 Restart safety rests on two pieces of the existing machinery plus one new
 file:
@@ -204,7 +204,6 @@ class JobManager:
         *,
         jobs: int = 2,
         workers: "int | None" = None,
-        chunk_policy: "str | None" = None,
         validation_shards: "int | None" = None,
         memo_path: "str | Path | None" = None,
         metrics=None,
@@ -214,7 +213,6 @@ class JobManager:
         self.store_root = Path(store_root)
         self.store_root.mkdir(parents=True, exist_ok=True)
         self.workers = workers
-        self.chunk_policy = chunk_policy
         self.validation_shards = validation_shards
         self.memo_path = (
             Path(memo_path) if memo_path is not None else self.store_root / "result-memo.jsonl"
@@ -303,7 +301,6 @@ class JobManager:
         """
         execution = ExecutionSpec(
             workers=self.workers,
-            chunk_policy=self.chunk_policy,
             store_dir=str(job.store_dir),
             validation_shards=self.validation_shards,
             resume=True,

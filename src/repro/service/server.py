@@ -116,7 +116,6 @@ def serve(
     port: int = 8080,
     jobs: int = 2,
     workers: "int | None" = None,
-    chunk_policy: "str | None" = None,
     validation_shards: "int | None" = None,
     memo_path=None,
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
@@ -137,7 +136,6 @@ def serve(
         store_root,
         jobs=jobs,
         workers=workers,
-        chunk_policy=chunk_policy,
         validation_shards=validation_shards,
         memo_path=memo_path,
         metrics=metrics,

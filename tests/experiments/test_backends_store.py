@@ -255,16 +255,35 @@ class TestStore:
         with pytest.raises(ConfigurationError, match="did not complete"):
             SweepResult.load(path)
 
-    def test_non_object_line_reports_location(self, tmp_path, serial_result):
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param("123", id="non-object"),  # valid JSON, not an object
+            # a unit row of the retired span-of-cells shape
+            pytest.param(
+                '{"kind": "unit", "unit": {"index": 0, "cells": [0, 4]}, "records": []}',
+                id="chunk-shaped",
+            ),
+            pytest.param(
+                '{"kind": "unit", "unit": {"index": 0, "configuration": 0, '
+                '"throughputs": [50.0]}}',
+                id="missing-key",
+            ),
+        ],
+    )
+    def test_malformed_line_reports_location(self, tmp_path, line):
         path = tmp_path / "sweep.jsonl"
         run_plan(small_plan(), store=SweepStore(path))
         lines = path.read_text().splitlines()
-        lines.insert(1, "123")  # valid JSON, not an object
+        lines.insert(1, line)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError, match="line 2"):
-            load_sweep_result(path)
-        with pytest.raises(ConfigurationError, match="line 2"):
-            run_plan(small_plan(), store=SweepStore(path), resume=True)
+        for load in (
+            lambda: load_sweep_result(path),
+            lambda: run_plan(small_plan(), store=SweepStore(path), resume=True),
+        ):
+            with pytest.raises(ConfigurationError, match="line 2") as error:
+                load()
+            assert "\n" not in str(error.value)
 
     def test_overwriting_an_unrelated_file_is_refused(self, tmp_path):
         # a mistyped --out pointing at unrelated data must never be wiped

@@ -22,7 +22,6 @@ from repro.experiments.memo import (
 )
 from repro.experiments.runner import run_plan
 from repro.experiments.validation import (
-    plan_cells,
     plan_from_sweep,
     run_validation,
 )
@@ -160,7 +159,7 @@ class TestValidationMemo:
         path = tmp_path / "memo.jsonl"
         baseline = run_validation(campaign_plan)
         first = run_validation(campaign_plan, memo=ResultMemoStore(path))
-        cells = len(plan_cells(campaign_plan))
+        cells = campaign_plan.num_simulations
         assert first.memo_stats.as_dict() == {"hits": 0, "misses": cells}
         second = run_validation(campaign_plan, memo=ResultMemoStore(path))
         assert second.memo_stats.as_dict() == {"hits": cells, "misses": 0}
@@ -178,7 +177,7 @@ class TestValidationMemo:
             campaign_plan,
             memo=ResultMemoStore(memo_path),
             store=tmp_path / "b.jsonl",
-            chunk_policy="cells:3",
+            chunk_size=3,
         )
         assert second.memo_stats.misses == 0
         assert record_lines(second) == record_lines(first)
@@ -194,7 +193,7 @@ class TestValidationMemo:
         )
         result = run_validation(changed, memo=ResultMemoStore(path))
         assert result.memo_stats.hits == 0
-        assert result.memo_stats.misses == len(plan_cells(changed))
+        assert result.memo_stats.misses == changed.num_simulations
 
     def test_changed_screen_threshold_misses(self, tmp_path, captured_sweep):
         path = tmp_path / "memo.jsonl"
@@ -222,7 +221,7 @@ class TestValidationMemo:
         run_validation(campaign_plan, memo=ResultMemoStore(path))
         wider = replace(campaign_plan, rate_multipliers=(1.0, 1.05))
         result = run_validation(wider, memo=ResultMemoStore(path))
-        cells = len(plan_cells(campaign_plan))
+        cells = campaign_plan.num_simulations
         # the x1.0 half of the wider grid is exactly the cached campaign
         assert result.memo_stats.hits == cells
         assert result.memo_stats.misses == cells

@@ -88,11 +88,20 @@ class TestStrictness:
         with pytest.raises(ConfigurationError, match="unknown field.*workers"):
             StudySpec.from_dict(data)
 
-    @pytest.mark.parametrize("section", ["workload", "execution", "validation"])
-    def test_unknown_nested_field_rejected(self, section):
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            pytest.param("workload", "typo_field", 1, id="workload"),
+            pytest.param("execution", "typo_field", 1, id="execution"),
+            pytest.param("validation", "typo_field", 1, id="validation"),
+            # the retired sharding knob: only a null value still loads
+            pytest.param("execution", "chunk_policy", "adaptive", id="chunk_policy"),
+        ],
+    )
+    def test_unknown_nested_field_rejected(self, section, field, value):
         data = tiny_spec(execution=ExecutionSpec(workers=2)).as_dict()
-        data[section]["typo_field"] = 1
-        with pytest.raises(ConfigurationError, match="typo_field"):
+        data[section][field] = value
+        with pytest.raises(ConfigurationError, match=field):
             StudySpec.from_dict(data)
 
     def test_unknown_algorithm_field_rejected(self):
@@ -121,26 +130,16 @@ class TestStrictness:
         with pytest.raises(ConfigurationError, match="resume"):
             ExecutionSpec(resume=True)
 
-    def test_chunk_policy_and_memo_round_trip(self):
-        spec = ExecutionSpec(chunk_policy="target:2.0", memo=True,
-                             memo_path="cache/memo.jsonl")
+    def test_round_trip_and_older_dicts_load(self):
+        spec = ExecutionSpec(memo=True, memo_path="cache/memo.jsonl")
         assert ExecutionSpec.from_dict(spec.as_dict()) == spec
-        # a pre-policy spec dict (missing the new fields) still loads
+        # a pre-memo spec dict (missing the new fields) still loads
         legacy = {"workers": 2, "chunk_size": 1}
-        assert ExecutionSpec.from_dict(legacy).chunk_policy is None
         assert ExecutionSpec.from_dict(legacy).memo is False
-
-    def test_invalid_chunk_policy_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown chunk policy"):
-            ExecutionSpec(chunk_policy="every-other-tuesday")
-        with pytest.raises(ConfigurationError, match="unknown chunk policy"):
-            ExecutionSpec(chunk_policy="cells:0")
-        with pytest.raises(ConfigurationError, match="unknown chunk policy"):
-            ExecutionSpec(chunk_policy="target:-1")
-
-    def test_chunk_size_and_chunk_policy_conflict(self):
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            ExecutionSpec(chunk_size=2, chunk_policy="adaptive")
+        # older versions wrote "chunk_policy": null into every execution dict
+        older = ExecutionSpec.from_dict({**legacy, "chunk_policy": None})
+        assert older == ExecutionSpec.from_dict(legacy)
+        assert "chunk_policy" not in older.as_dict()
 
     def test_memo_path_requires_memo(self):
         with pytest.raises(ConfigurationError, match="memo_path requires"):
@@ -152,9 +151,9 @@ class TestStrictness:
         assert store is not None
         assert store.path == tmp_path / "m.jsonl"
 
-    def test_chunk_policy_does_not_change_fingerprint(self):
+    def test_execution_tuning_does_not_change_fingerprint(self):
         spec = tiny_spec()
-        tuned = spec.with_execution(chunk_policy="adaptive", memo=True)
+        tuned = spec.with_execution(chunk_size=2, memo=True)
         assert tuned.fingerprint() == spec.fingerprint()
 
     def test_seed_sensitive_defaults_from_registry(self):

@@ -235,38 +235,22 @@ class TestCampaignExecution:
         with pytest.raises(ConfigurationError, match="requires a store"):
             run_validation(campaign_plan, resume=True)
 
-    def test_adaptive_chunking_byte_identical_to_serial(
+    def test_single_source_units_parallel_byte_identical(
         self, campaign_plan, serial_campaign
     ):
-        # fixed-span chunks and probe-sized adaptive chunks both tile the
-        # canonical cell list, so record bytes cannot depend on the policy
-        fixed = run_validation(campaign_plan, chunk_policy="cells:5")
-        assert record_lines(fixed) == record_lines(serial_campaign)
-        adaptive = run_validation(campaign_plan, chunk_policy="adaptive")
-        assert record_lines(adaptive) == record_lines(serial_campaign)
-
-    def test_adaptive_chunking_parallel_byte_identical(
-        self, campaign_plan, serial_campaign
-    ):
+        # many one-source units on a pool: unit shape and completion order
+        # cannot change a record byte
         pooled = run_validation(
-            campaign_plan, chunk_policy="cells:3", backend=ProcessPoolBackend(2)
+            campaign_plan, chunk_size=1, backend=ProcessPoolBackend(2)
         )
         assert record_lines(pooled) == record_lines(serial_campaign)
 
-    def test_chunk_size_and_chunk_policy_conflict(self, campaign_plan):
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            run_validation(campaign_plan, chunk_size=1, chunk_policy="cells:2")
-
-    def test_unknown_chunk_policy_rejected(self, campaign_plan):
-        with pytest.raises(ConfigurationError, match="unknown chunk policy"):
-            run_validation(campaign_plan, chunk_policy="bogus:3")
-
-    def test_resume_mid_chunk_with_truncated_tail(
+    def test_resume_mid_unit_with_truncated_tail(
         self, tmp_path, campaign_plan, serial_campaign
     ):
-        """A kill mid-append inside a *chunked* campaign — the final JSONL
-        line torn partway through a multi-cell unit — must resume to records
-        byte-identical to the serial campaign."""
+        """A kill mid-append — the final JSONL line torn partway through a
+        default multi-source unit — must resume to records byte-identical to
+        the serial campaign."""
 
         class _Interrupt(Exception):
             pass
@@ -280,53 +264,17 @@ class TestCampaignExecution:
             if done >= 2:
                 raise _Interrupt
 
+        assert all(len(unit.sources) > 1 for unit in plan_validation_units(campaign_plan))
         with pytest.raises(_Interrupt):
-            run_validation(
-                campaign_plan,
-                store=ValidationStore(path),
-                progress=tripwire,
-                chunk_policy="cells:5",
-            )
+            run_validation(campaign_plan, store=ValidationStore(path), progress=tripwire)
         # tear the last checkpoint line mid-record, as a power cut would
         torn = path.read_bytes()[:-40]
         path.write_bytes(torn)
-        resumed = run_validation(
-            campaign_plan,
-            store=ValidationStore(path),
-            resume=True,
-            chunk_policy="cells:5",
-        )
+        with pytest.raises(ConfigurationError, match="incomplete campaign"):
+            load_campaign(path)
+        resumed = run_validation(campaign_plan, store=ValidationStore(path), resume=True)
         assert record_lines(resumed) == record_lines(serial_campaign)
         assert record_lines(load_campaign(path)) == record_lines(serial_campaign)
-
-    def test_resume_recovers_chunk_span_from_checkpoint(
-        self, tmp_path, campaign_plan, serial_campaign
-    ):
-        """Resuming with a *different* policy value must reuse the span the
-        checkpoint was written with (the store refuses mixed sharding)."""
-
-        class _Interrupt(Exception):
-            pass
-
-        path = tmp_path / "campaign.jsonl"
-
-        def tripwire(_msg):
-            raise _Interrupt
-
-        with pytest.raises(_Interrupt):
-            run_validation(
-                campaign_plan,
-                store=ValidationStore(path),
-                progress=tripwire,
-                chunk_policy="cells:4",
-            )
-        resumed = run_validation(
-            campaign_plan,
-            store=ValidationStore(path),
-            resume=True,
-            chunk_policy="adaptive",
-        )
-        assert record_lines(resumed) == record_lines(serial_campaign)
 
     def test_campaign_sustains_design_point(self, serial_campaign):
         # the paper's claim, checked end to end: at the design rate every
@@ -530,6 +478,34 @@ class TestValidationStore:
         path = tmp_path / "campaign.jsonl"
         run_validation(campaign_plan, store=path)
         assert record_lines(load_campaign(path))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            # the unit line a chunked campaign wrote before chunks were retired
+            pytest.param(
+                lambda row: {**row, "unit": {"index": 0, "cells": [0, 4]}},
+                id="chunk-shaped",
+            ),
+            pytest.param(
+                lambda row: {k: v for k, v in row.items() if k != "records"},
+                id="missing-key",
+            ),
+        ],
+    )
+    def test_malformed_unit_line_reports_location(self, tmp_path, campaign_plan, mutate):
+        path = tmp_path / "campaign.jsonl"
+        run_validation(campaign_plan, store=ValidationStore(path))
+        lines = path.read_text().splitlines()
+        lines[1] = json.dumps(mutate(json.loads(lines[1])))
+        path.write_text("\n".join(lines) + "\n")
+        for load in (
+            lambda: load_campaign(path),
+            lambda: run_validation(campaign_plan, store=ValidationStore(path), resume=True),
+        ):
+            with pytest.raises(ConfigurationError, match="line 2") as error:
+                load()
+            assert "\n" not in str(error.value)
 
     def test_chunked_checkpoint_loads_complete(self, tmp_path, campaign_plan, serial_campaign):
         # a finished campaign checkpointed with a non-default chunk_size must

@@ -261,6 +261,28 @@ class TestRestartAndRecovery:
         finally:
             second.shutdown()
 
+    def test_recovers_journal_with_null_chunk_policy(self, tmp_path, reference):
+        # older servers journaled execution dicts carrying "chunk_policy": null
+        root = tmp_path / "state"
+        root.mkdir()
+        spec = StudySpec.from_dict(tiny_spec_dict())
+        data = spec.as_dict()
+        data["execution"]["chunk_policy"] = None
+        fingerprint = study_fingerprint(spec)
+        JobJournalStore(root / "jobs.jsonl").record(
+            fingerprint[:16], "submitted", fingerprint=fingerprint, spec=data
+        )
+        manager = JobManager(root, jobs=1)
+        try:
+            assert manager.recover() == 1
+            job = manager.get(fingerprint[:16])
+            assert job.wait(timeout=120) and job.state == "done"
+            assert canonical_lines(
+                [r.as_dict() for r in job.result.campaign.records]
+            ) == canonical_lines([r.as_dict() for r in reference.campaign.records])
+        finally:
+            manager.shutdown()
+
     def test_recovery_refuses_journal_entry_without_spec(self, tmp_path):
         root = tmp_path / "state"
         root.mkdir()

@@ -25,18 +25,33 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["serve", "--store-root", "state"])
         assert (args.host, args.port, args.jobs) == ("127.0.0.1", 8080, 2)
-        assert args.workers is None and args.chunk_policy is None
+        assert args.workers is None
         assert args.validation_shards is None and args.memo_path is None
         assert args.request_timeout == 30.0
         args = parser.parse_args(
             ["serve", "--store-root", "state", "--port", "0", "--jobs", "4",
-             "--workers", "2", "--chunk-policy", "cells:4",
+             "--workers", "2",
              "--validation-shards", "3", "--memo-path", "memo.jsonl",
              "--request-timeout", "5"]
         )
         assert (args.port, args.jobs, args.workers) == (0, 4, 2)
-        assert args.chunk_policy == "cells:4" and args.validation_shards == 3
+        assert args.validation_shards == 3
         assert str(args.memo_path) == "memo.jsonl" and args.request_timeout == 5.0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "study.json"],
+            ["validate", "sweep.jsonl"],
+            ["serve", "--store-root", "state"],
+        ],
+        ids=["run", "validate", "serve"],
+    )
+    def test_retired_chunk_policy_flag_rejected(self, capsys, args):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(args + ["--chunk-policy", "adaptive"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --chunk-policy adaptive" in capsys.readouterr().err
 
     def test_serve_requires_store_root(self):
         with pytest.raises(SystemExit):
@@ -408,7 +423,7 @@ class TestRunCommand:
         assert (tmp_path / "a-campaign.jsonl").read_bytes() == \
             (tmp_path / "b-campaign.jsonl").read_bytes()
 
-    def test_run_chunk_policy_byte_identical_campaign(self, capsys, tmp_path):
+    def test_run_chunk_size_byte_identical_campaign(self, capsys, tmp_path):
         import json
 
         plain = tmp_path / "plain.json"
@@ -416,9 +431,10 @@ class TestRunCommand:
             tmp_path / "p-sweep.jsonl", tmp_path / "p-campaign.jsonl")))
         assert main(["run", str(plain), "--quiet"]) == 0
         chunked = tmp_path / "chunked.json"
-        chunked.write_text(json.dumps(_tiny_study_dict(
-            tmp_path / "c-sweep.jsonl", tmp_path / "c-campaign.jsonl")))
-        assert main(["run", str(chunked), "--chunk-policy", "cells:4", "--quiet"]) == 0
+        data = _tiny_study_dict(tmp_path / "c-sweep.jsonl", tmp_path / "c-campaign.jsonl")
+        data["execution"]["chunk_size"] = 4
+        chunked.write_text(json.dumps(data))
+        assert main(["run", str(chunked), "--quiet"]) == 0
         capsys.readouterr()
         from repro.experiments.validation import load_campaign
 
@@ -470,15 +486,23 @@ class TestRunCommand:
         assert main(["run", str(tmp_path / "nope.json"), "--quiet"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
-    def test_run_rejects_unknown_spec_fields(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            pytest.param(None, "workers", 4, id="misplaced"),  # belongs under "execution"
+            pytest.param("execution", "chunk_policy", "adaptive", id="chunk_policy"),
+        ],
+    )
+    def test_run_rejects_unknown_spec_fields(self, capsys, tmp_path, section, field, value):
         import json
 
         study = tmp_path / "study.json"
         data = _tiny_study_dict(tmp_path / "s.jsonl", tmp_path / "c.jsonl")
-        data["workers"] = 4  # belongs under "execution"
+        (data if section is None else data[section])[field] = value
         study.write_text(json.dumps(data))
         assert main(["run", str(study), "--quiet"]) == 2
-        assert "unknown field" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown field" in err and field in err and err.count("\n") == 1
 
     def test_run_rejects_misspelled_algorithm_param(self, capsys, tmp_path):
         import json
@@ -587,8 +611,8 @@ class TestArgToSpecParity:
         assert from_args == from_json
         assert from_args.fingerprint() == from_json.fingerprint()
 
-    def test_validate_memo_and_chunk_args_build_the_study_json_spec(self, tmp_path):
-        """`validate --memo/--memo-path/--chunk-policy` land in the spec's
+    def test_validate_memo_args_build_the_study_json_spec(self, tmp_path):
+        """`validate --memo/--memo-path` land in the spec's
         execution section exactly as a hand-written study.json would spell
         them — the CLI parity the run command already has."""
         from repro.cli import validation_study_spec
@@ -606,7 +630,6 @@ class TestArgToSpecParity:
             horizons=(8.0,),
             rate_multipliers=(1.0, 1.05),
             validation_store=tmp_path / "campaign.jsonl",
-            chunk_policy="cells:4",
             memo_path=memo_file,  # --memo-path alone implies memo=True
         )
         data = _tiny_study_dict(sweep_file, tmp_path / "campaign.jsonl")
@@ -614,7 +637,7 @@ class TestArgToSpecParity:
         data["description"] = ""
         data["execution"] = {"sweep_store": str(sweep_file),
                              "validation_store": str(tmp_path / "campaign.jsonl"),
-                             "resume": True, "chunk_policy": "cells:4",
+                             "resume": True,
                              "memo": True, "memo_path": str(memo_file)}
         from_json = StudySpec.from_dict(data)
         assert from_args == from_json
@@ -629,7 +652,7 @@ class TestArgToSpecParity:
         first_out = tmp_path / "campaign-a.jsonl"
         second_out = tmp_path / "campaign-b.jsonl"
         base = ["validate", str(sweep_file), "--horizons", "8",
-                "--chunk-policy", "cells:2", "--memo", "--memo-path", str(memo)]
+                "--memo", "--memo-path", str(memo)]
         capsys.readouterr()
         assert main(base + ["--out", str(first_out), "--quiet"]) == 0
         first_summary = capsys.readouterr().out
