@@ -22,10 +22,6 @@ The report also samples the fast engine's event-core counters (heappush /
 heappop / dispatch-scan totals of one representative simulation) so the
 ROADMAP's calendar-queue question can be answered from bench artifacts.
 
-It also asserts the backward-compatibility contract: a scenario-free plan
-serialises without a ``scenarios`` field and its units without a ``scenario``
-field, i.e. exactly the pre-scenario checkpoint format.
-
 Run directly to emit ``BENCH_scenarios.json`` next to this file::
 
     PYTHONPATH=src python benchmarks/bench_scenarios.py [--smoke] [--workers N] [--out PATH]
@@ -48,7 +44,6 @@ from repro.experiments.validation import (
     plan_from_sweep,
     plan_validation_units,
     run_validation,
-    validation_plan_to_dict,
 )
 from repro.simulation import BurstyArrivals, FailureWindow, PoissonArrivals, ScenarioSpec
 
@@ -86,21 +81,6 @@ def build_campaign(smoke: bool) -> ValidationPlan:
     )
 
 
-def assert_pre_scenario_format(plan: ValidationPlan) -> None:
-    """A scenario-free twin of ``plan`` must serialise in the old format."""
-    from dataclasses import replace
-
-    from repro.simulation import DEFAULT_SCENARIO
-
-    plain = replace(plan, scenarios=(DEFAULT_SCENARIO,))
-    data = validation_plan_to_dict(plain)
-    if "scenarios" in data:
-        raise AssertionError("scenario-free plan leaked a 'scenarios' field")
-    for unit in plan_validation_units(plain):
-        if "scenario" in unit.as_dict():
-            raise AssertionError("scenario-free unit leaked a 'scenario' field")
-
-
 def sample_event_counters(plan: ValidationPlan) -> dict:
     """Event-core counters of one representative simulation of the campaign.
 
@@ -131,7 +111,6 @@ def run(smoke: bool, workers: int) -> dict:
     t0 = time.perf_counter()
     plan = build_campaign(smoke)
     sweep_seconds = time.perf_counter() - t0
-    assert_pre_scenario_format(plan)
 
     t0 = time.perf_counter()
     serial = run_validation(plan)

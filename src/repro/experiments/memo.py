@@ -14,7 +14,8 @@ Keys are content fingerprints, never labels:
   base seed and the full algorithm line-up (plus the ``check`` and
   ``capture_allocations`` execution switches, which change record content);
   for a validation campaign, the sweep plan it replays plus the warm-up
-  fraction, data-set cap and screen tier.  Plan *names* and grid extents
+  fraction, data-set cap, screen tier and campaign checkpoint format (so
+  cells cached under an older seeding miss).  Plan *names* and grid extents
   (``num_configurations``, ``target_throughputs``, horizons, multipliers)
   are deliberately excluded: they are labels or outer-loop bounds, so a
   bigger sweep reuses the cells of a smaller one.

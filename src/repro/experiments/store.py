@@ -6,7 +6,9 @@ File format (one JSON object per line):
   "plan": {...}}`` where ``fingerprint`` is the SHA-256 of the canonical plan
   serialisation.  Resuming against a file whose fingerprint does not match
   the current plan is refused — a checkpoint is only valid for the exact
-  sweep that produced it.
+  sweep that produced it.  ``version`` is the store's format
+  (:attr:`JsonlCheckpointStore.store_version`): 1 for sweeps, 2 for
+  validation campaigns; a file in any other format is refused.
 * subsequent lines — either ``{"kind": "unit", "unit": {...},
   "records": [...]}`` (one completed work unit, written by the checkpointing
   runner) or ``{"kind": "record", ...}`` (one record, written by
@@ -40,8 +42,6 @@ __all__ = [
     "load_sweep_result",
     "shard_paths",
 ]
-
-_STORE_VERSION = 1
 
 #: What a ``from_dict`` raises on a row of the wrong shape: a missing key, a
 #: value of the wrong type, a non-numeric string, a short list.
@@ -77,11 +77,13 @@ class JsonlCheckpointStore:
 
     ``data_description`` labels the file kind in error messages;
     ``store_marker`` is written to (and required of) the header's ``"store"``
-    field — the original sweep format predates the field and leaves it unset.
+    field — the original sweep format predates the field and leaves it unset;
+    ``store_version`` is written to (and required of) its ``"version"``.
     """
 
     data_description = "sweep"
     store_marker: str | None = None
+    store_version = 1
     run_noun = "sweep"        # "start a fresh <run_noun>" in resume errors
     plan_noun = "plan"        # "written by a different <plan_noun>"
 
@@ -154,7 +156,7 @@ class JsonlCheckpointStore:
 
     # ------------------------------------------------------------------ #
     def _header(self, plan) -> dict:
-        header: dict = {"kind": "header", "version": _STORE_VERSION}
+        header: dict = {"kind": "header", "version": self.store_version}
         if self.store_marker is not None:
             header["store"] = self.store_marker
         header["fingerprint"] = self._fingerprint(plan)
@@ -212,14 +214,23 @@ class JsonlCheckpointStore:
             raise ConfigurationError(
                 f"{self.path} does not start with a {self.data_description} header line"
             )
-        if row.get("version") != _STORE_VERSION:
-            raise ConfigurationError(
-                f"{self.path} has store version {row.get('version')!r}, expected {_STORE_VERSION}"
-            )
+        # the kind first: a checkpoint of the other kind is named as such,
+        # whatever format version it carries
         if row.get("store") != self.store_marker:
             raise ConfigurationError(
                 f"{self.path} is a {row.get('store') or 'sweep'} checkpoint, not a "
                 f"{self.data_description} checkpoint; refusing to touch it"
+            )
+        version = row.get("version")
+        if version != self.store_version:
+            if isinstance(version, int) and version < self.store_version:
+                raise ConfigurationError(
+                    f"{self.path} predates {self.data_description} checkpoint format "
+                    f"{self.store_version} (it has format {version}); re-run the "
+                    f"{self.run_noun} into a fresh checkpoint"
+                )
+            raise ConfigurationError(
+                f"{self.path} has store version {version!r}, expected {self.store_version}"
             )
         return row
 

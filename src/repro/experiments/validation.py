@@ -33,10 +33,13 @@ Allocations come from the sweep records' optional
 solved; records without a payload (older checkpoint files) fall back to
 re-solving with the sweep's own deterministic seed derivation.  Simulation is
 fully deterministic — stochastic scenarios draw from seeds derived per
-(source, scenario) with :func:`~repro.utils.rng.stable_text_digest` — so
-serial, parallel and interrupt-and-resume campaigns produce byte-identical
-record lines; ``benchmarks/bench_validation.py`` and
-``benchmarks/bench_scenarios.py`` assert this.
+(configuration, rho, scenario) with :func:`~repro.utils.rng.stable_text_digest`
+— so serial, parallel and interrupt-and-resume campaigns produce
+byte-identical record lines; ``benchmarks/bench_validation.py`` and
+``benchmarks/bench_scenarios.py`` assert this.  The seed leaves the algorithm
+out (common random numbers), so every algorithm at a grid point faces the
+same arrivals and failures, and a work unit simulates each distinct
+allocation once however many algorithms returned it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -128,10 +131,8 @@ class AllocationSource:
         )
 
 
-#: The scenario axis every pre-scenario campaign implicitly ran: one default
-#: (baseline) scenario.  Plans carrying exactly this tuple serialise without a
-#: ``"scenarios"`` field, so their fingerprints — and therefore checkpoint
-#: resume — match files written before scenarios existed.
+#: The scenario axis of a plan built without one: the single default
+#: (baseline) scenario, the paper's deterministic replay.
 _DEFAULT_SCENARIOS: tuple[ScenarioSpec, ...] = (DEFAULT_SCENARIO,)
 
 
@@ -141,16 +142,17 @@ def scenario_seed(base_seed: int, source: AllocationSource, scenario: ScenarioSp
     Derived with :func:`~repro.utils.rng.stable_text_digest` (never ``hash``),
     so it is identical across worker processes and ``PYTHONHASHSEED`` s —
     the byte-identity of serial/parallel/resumed campaigns under stochastic
-    scenarios rests on this.  Horizon and rate multiplier are deliberately
-    not folded in: all simulations of one cell share the arrival-sequence
-    prefix, so a longer horizon extends a shorter one instead of reshuffling
-    it.
+    scenarios rests on this.  Only the source's (configuration, rho) enters,
+    not its algorithm: these are common random numbers, so every algorithm
+    at a grid point faces the same arrivals and failure draws, algorithm
+    comparisons are paired, and sources sharing an allocation share one
+    simulation.  Horizon and rate multiplier are deliberately not folded in
+    either: all simulations of one cell share the arrival-sequence prefix, so
+    a longer horizon extends a shorter one instead of reshuffling it.
     """
     return derive_seed(
         base_seed,
-        stable_text_digest(
-            f"{source.configuration}|{source.rho!r}|{source.algorithm}", bits=32
-        ),
+        stable_text_digest(f"{source.configuration}|{source.rho!r}", bits=32),
         stable_text_digest(scenario.name, bits=32),
     )
 
@@ -165,9 +167,8 @@ class ValidationPlan:
     cost model makes no promise about).  ``scenarios`` replays every
     (source, horizon, multiplier) cell once per injection scenario
     (:class:`~repro.simulation.scenarios.ScenarioSpec`: arrival process,
-    per-type slowdowns, seeded failure windows); the default single baseline
-    scenario reproduces the pre-scenario behaviour — and serialisation —
-    exactly.
+    per-type slowdowns, seeded failure windows); the default is the single
+    baseline scenario, the paper's deterministic replay.
 
     ``screen`` selects the campaign's fast-screen tier: ``"none"`` (the
     default) runs the exact DES for every grid cell; ``"fluid"`` first bounds
@@ -290,14 +291,11 @@ def plan_from_sweep(
 def validation_plan_to_dict(plan: ValidationPlan) -> dict[str, Any]:
     """Canonical JSON form of a validation plan (fingerprintable).
 
-    The ``scenarios`` field is omitted for the default single-baseline axis,
-    so scenario-free plans fingerprint identically to the pre-scenario format
-    and their old checkpoints keep resuming.  The screen fields are likewise
-    omitted for ``screen="none"`` — and included (threshold and all) for a
-    screened plan, because which cells ran the exact DES *is* part of what
-    the campaign computed and must participate in the fingerprint.
+    Every field is written, defaults included: the screen tier and threshold
+    decide which cells ran the exact DES, so they are part of what the
+    campaign computed and of its fingerprint.
     """
-    data: dict[str, Any] = {
+    return {
         "name": plan.name,
         "sweep_plan": plan_to_dict(plan.sweep_plan),
         "sources": [source.as_dict() for source in plan.sources],
@@ -305,18 +303,18 @@ def validation_plan_to_dict(plan: ValidationPlan) -> dict[str, Any]:
         "rate_multipliers": [float(m) for m in plan.rate_multipliers],
         "warmup_fraction": plan.warmup_fraction,
         "max_datasets": plan.max_datasets,
+        "scenarios": [scenario.as_dict() for scenario in plan.scenarios],
+        "screen": plan.screen,
+        "screen_threshold": plan.screen_threshold,
     }
-    if plan.scenarios != _DEFAULT_SCENARIOS:
-        data["scenarios"] = [scenario.as_dict() for scenario in plan.scenarios]
-    if plan.screen != "none":
-        data["screen"] = plan.screen
-        data["screen_threshold"] = plan.screen_threshold
-    return data
 
 
 def validation_plan_from_dict(data: Mapping[str, Any]) -> ValidationPlan:
-    """Inverse of :func:`validation_plan_to_dict`."""
-    for key in ("name", "sweep_plan", "sources", "horizons", "rate_multipliers"):
+    """Inverse of :func:`validation_plan_to_dict`; every field is required."""
+    for key in (
+        "name", "sweep_plan", "sources", "horizons", "rate_multipliers",
+        "warmup_fraction", "max_datasets", "scenarios", "screen", "screen_threshold",
+    ):
         if key not in data:
             raise ConfigurationError(f"validation plan data is missing the {key!r} field")
     return ValidationPlan(
@@ -325,15 +323,11 @@ def validation_plan_from_dict(data: Mapping[str, Any]) -> ValidationPlan:
         sources=tuple(AllocationSource.from_dict(entry) for entry in data["sources"]),
         horizons=tuple(float(h) for h in data["horizons"]),
         rate_multipliers=tuple(float(m) for m in data["rate_multipliers"]),
-        warmup_fraction=float(data.get("warmup_fraction", 0.1)),
-        max_datasets=None if data.get("max_datasets") is None else int(data["max_datasets"]),
-        scenarios=(
-            tuple(ScenarioSpec.from_dict(entry) for entry in data["scenarios"])
-            if "scenarios" in data
-            else _DEFAULT_SCENARIOS
-        ),
-        screen=str(data.get("screen", "none")),
-        screen_threshold=float(data.get("screen_threshold", 0.85)),
+        warmup_fraction=float(data["warmup_fraction"]),
+        max_datasets=None if data["max_datasets"] is None else int(data["max_datasets"]),
+        scenarios=tuple(ScenarioSpec.from_dict(entry) for entry in data["scenarios"]),
+        screen=str(data["screen"]),
+        screen_threshold=float(data["screen_threshold"]),
     )
 
 
@@ -360,17 +354,14 @@ class ValidationRecord:
     byte-identically.  ``utilization`` holds ``(type, busy fraction)`` pairs
     in a canonical sort order rather than a mapping, for the same JSON-key
     reason as :class:`~repro.experiments.runner.AllocationPayload`.
-    ``scenario`` names the plan scenario the simulation ran under; records
-    from the default baseline scenario serialise without the field, so
-    pre-scenario checkpoint lines round-trip unchanged.
+    ``scenario`` names the plan scenario the simulation ran under.
 
     ``tier`` records which engine produced the measurement: ``"des"`` (the
-    exact discrete-event simulation, the default — omitted from the dict
-    form so pre-screen checkpoint lines round-trip unchanged) or ``"fluid"``
-    (the closed-form screen of :mod:`repro.analysis.fluid`: utilisations and
-    the throughput ratio are analytic bounds, latencies are the no-queueing
-    critical-path estimate, and the reorder/backlog counters are zero by
-    construction — the fluid system never queues in the screened-out regime).
+    exact discrete-event simulation) or ``"fluid"`` (the closed-form screen
+    of :mod:`repro.analysis.fluid`: utilisations and the throughput ratio are
+    analytic bounds, latencies are the no-queueing critical-path estimate,
+    and the reorder/backlog counters are zero by construction — the fluid
+    system never queues in the screened-out regime).
     """
 
     configuration: int
@@ -409,7 +400,7 @@ class ValidationRecord:
         return float(max(u for _, u in self.utilization))
 
     def as_dict(self) -> dict:
-        data = {
+        return {
             "configuration": self.configuration,
             "rho": self.rho,
             "algorithm": self.algorithm,
@@ -426,12 +417,9 @@ class ValidationRecord:
             "reorder_buffer_peak": self.reorder_buffer_peak,
             "backlog": self.backlog,
             "peak_in_flight": self.peak_in_flight,
+            "scenario": self.scenario,
+            "tier": self.tier,
         }
-        if self.scenario != DEFAULT_SCENARIO.name:
-            data["scenario"] = self.scenario
-        if self.tier != "des":
-            data["tier"] = self.tier
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ValidationRecord":
@@ -452,8 +440,8 @@ class ValidationRecord:
             reorder_buffer_peak=int(data["reorder_buffer_peak"]),
             backlog=int(data["backlog"]),
             peak_in_flight=int(data["peak_in_flight"]),
-            scenario=str(data.get("scenario", DEFAULT_SCENARIO.name)),
-            tier=str(data.get("tier", "des")),
+            scenario=str(data["scenario"]),
+            tier=str(data["tier"]),
         )
 
 
@@ -468,9 +456,7 @@ class ValidationUnit:
     :class:`~repro.experiments.backends.WorkUnit` it carries indices only;
     the executing side looks the sources and the scenario up in the
     (pickled) plan and regenerates each source's configuration from the
-    sweep seeds.  ``scenario`` indexes ``plan.scenarios`` and is omitted from
-    the dict form when ``0`` — the only value pre-scenario checkpoints could
-    have held — so their sharding check keeps passing.
+    sweep seeds.  ``scenario`` indexes ``plan.scenarios``.
     """
 
     index: int
@@ -489,15 +475,13 @@ class ValidationUnit:
         )
 
     def as_dict(self) -> dict:
-        data = {
+        return {
             "index": self.index,
             "horizon": self.horizon,
             "rate_multiplier": self.rate_multiplier,
             "sources": list(self.sources),
+            "scenario": self.scenario,
         }
-        if self.scenario != 0:
-            data["scenario"] = self.scenario
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ValidationUnit":
@@ -506,7 +490,7 @@ class ValidationUnit:
             horizon=float(data["horizon"]),
             rate_multiplier=float(data["rate_multiplier"]),
             sources=tuple(int(s) for s in data["sources"]),
-            scenario=int(data.get("scenario", 0)),
+            scenario=int(data["scenario"]),
         )
 
     def execute(
@@ -518,18 +502,39 @@ class ValidationUnit:
     ) -> list[ValidationRecord]:
         """Simulate this unit's allocations (worker-process entry point).
 
+        Each distinct allocation is simulated once: sources of one
+        (configuration, rho) whose resolved allocations match in everything
+        the simulator reads — the split, and the machine counts in their own
+        order (instances are numbered in it) — share the first one's record
+        with only ``algorithm`` changed.  The seed leaves the algorithm out,
+        so that record is exactly what simulating each of them would give.
+
         ``check``/``capture_allocations`` are accepted for signature
         compatibility with the generic backend dispatch; neither applies to a
         simulation replay.
         """
         context = _plan_context(plan)
-        return [
-            _simulate_cell(
-                plan, context, self.horizon, self.rate_multiplier,
-                self.scenario, source_index,
+        shared: dict[tuple, ValidationRecord] = {}
+        records = []
+        for source_index in self.sources:
+            source = plan.sources[source_index]
+            allocation = context.allocation(source_index)
+            key = (
+                source.configuration,
+                source.rho,
+                tuple(allocation.split.values),
+                tuple(allocation.machines.items()),
             )
-            for source_index in self.sources
-        ]
+            record = shared.get(key)
+            if record is None:
+                record = shared[key] = _simulate_cell(
+                    plan, context, self.horizon, self.rate_multiplier,
+                    self.scenario, source_index,
+                )
+            else:
+                record = replace(record, algorithm=source.algorithm)
+            records.append(record)
+        return records
 
 
 class _ExecutionContext:
@@ -608,8 +613,9 @@ def _simulate_cell(
 ) -> ValidationRecord:
     """Run one grid cell of a :class:`ValidationUnit`.
 
-    The simulation seed depends only on (source, scenario), so how sources
-    are grouped into units (``chunk_size``) can never change a record.
+    The simulation seed depends only on (configuration, rho, scenario), so
+    how sources are grouped into units (``chunk_size``) can never change a
+    record.
     """
     source = plan.sources[source_index]
     scenario = plan.scenarios[scenario_index]
@@ -733,9 +739,7 @@ def plan_validation_units(
 
     One :class:`ValidationUnit` per (horizon, multiplier, scenario,
     configuration) group; ``chunk_size`` optionally bounds the number of
-    sources per unit.  The scenario loop sits innermost of the grid axes, so
-    a single-scenario plan produces exactly the unit list (and indices) of
-    the pre-scenario format.
+    sources per unit.  The scenario loop sits innermost of the grid axes.
     """
     if chunk_size is not None and chunk_size <= 0:
         raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
@@ -1018,11 +1022,14 @@ class ValidationStore(JsonlCheckpointStore):
     :class:`~repro.experiments.store.JsonlCheckpointStore`; this class only
     binds the campaign's plan/unit/record types to the base hooks.  The
     header carries ``"store": "validation"`` so the two checkpoint kinds can
-    never be resumed against each other.
+    never be resumed against each other.  Format 2 is the common-random-number
+    seeding with every plan, unit and record field written; a format-1 file
+    holds records of the old seeds and is refused, never resumed or loaded.
     """
 
     data_description = "validation"
     store_marker = "validation"
+    store_version = 2
     run_noun = "campaign"
     plan_noun = "validation plan"
 
@@ -1100,9 +1107,11 @@ def _memo_study_key(plan: ValidationPlan) -> str:
     Hashes everything that determines how one cell's records are computed:
     the sweep plan the campaign replays (minus its name and grid extents —
     labels and outer-loop bounds never change a cell) plus the campaign's
-    warm-up fraction, data-set cap and screen tier.  Horizons / multipliers /
-    scenarios are cell coordinates, not study parameters, so they live in the
-    cell key — a wider grid reuses the cells of a narrower one.
+    warm-up fraction, data-set cap and screen tier, and the checkpoint format
+    version, so cells cached under an older seeding always miss.  Horizons /
+    multipliers / scenarios are cell coordinates, not study parameters, so
+    they live in the cell key — a wider grid reuses the cells of a narrower
+    one.
     """
     sweep = plan_to_dict(plan.sweep_plan)
     for label in ("name", "num_configurations", "target_throughputs"):
@@ -1110,6 +1119,7 @@ def _memo_study_key(plan: ValidationPlan) -> str:
     return memo_key(
         {
             "kind": "validation",
+            "format": ValidationStore.store_version,
             "sweep_plan": sweep,
             "warmup_fraction": plan.warmup_fraction,
             "max_datasets": plan.max_datasets,

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import ConfigurationError
-from repro.experiments.config import default_plan
+from repro.experiments.config import default_plan, plan_to_dict
 from repro.experiments.memo import (
     MemoStats,
     ResultMemoStore,
@@ -22,6 +22,7 @@ from repro.experiments.memo import (
 )
 from repro.experiments.runner import run_plan
 from repro.experiments.validation import (
+    _memo_study_key,
     plan_from_sweep,
     run_validation,
 )
@@ -225,6 +226,42 @@ class TestValidationMemo:
         # the x1.0 half of the wider grid is exactly the cached campaign
         assert result.memo_stats.hits == cells
         assert result.memo_stats.misses == cells
+
+    def test_cells_cached_under_format_1_study_key_miss(self, tmp_path, campaign_plan):
+        # a memo file written before campaign format 2 keyed validation cells
+        # without the format: it still loads and serves sweep cells, but its
+        # validation cells (old seeds) never hit
+        path = tmp_path / "memo.jsonl"
+        sweep_plan = small_plan()
+        run_plan(sweep_plan, capture_allocations=True, memo=ResultMemoStore(path))
+        run_validation(campaign_plan, memo=ResultMemoStore(path))
+        sweep = plan_to_dict(campaign_plan.sweep_plan)
+        for label in ("name", "num_configurations", "target_throughputs"):
+            sweep.pop(label)
+        format_1_key = memo_key(
+            {
+                "kind": "validation",
+                "sweep_plan": sweep,
+                "warmup_fraction": campaign_plan.warmup_fraction,
+                "max_datasets": campaign_plan.max_datasets,
+                "screen": campaign_plan.screen,
+                "screen_threshold": campaign_plan.screen_threshold,
+            }
+        )
+        current_key = _memo_study_key(campaign_plan)
+        assert format_1_key != current_key
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in rows:
+            if row.get("study") == current_key:
+                row["study"] = format_1_key
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+        sweep_again = run_plan(sweep_plan, capture_allocations=True, memo=ResultMemoStore(path))
+        assert sweep_again.memo_stats.misses == 0
+        result = run_validation(campaign_plan, memo=ResultMemoStore(path))
+        assert result.memo_stats.as_dict() == {
+            "hits": 0, "misses": campaign_plan.num_simulations
+        }
 
     def test_memo_accepts_path_argument(self, tmp_path, campaign_plan):
         path = tmp_path / "memo.jsonl"

@@ -37,6 +37,7 @@ from repro.simulation import (
     FailureWindow,
     PoissonArrivals,
     ScenarioSpec,
+    StreamSimulator,
 )
 
 
@@ -346,27 +347,30 @@ class TestScenarioAxis:
         assert validation_fingerprint(rebuilt) == validation_fingerprint(scenario_plan)
         assert validation_fingerprint(scenario_plan) != validation_fingerprint(campaign_plan)
 
-    def test_scenario_free_plan_serialises_in_pre_scenario_format(self, campaign_plan):
-        # the default axis is omitted from the plan dict and the unit dicts,
-        # so fingerprints — and checkpoint resume — match files written
-        # before scenarios existed
+    def test_scenario_free_plan_serialises_its_scenario_axis(self, campaign_plan):
+        # the default axis is written like any other, and the plan and unit
+        # dicts are refused without it
         data = validation_plan_to_dict(campaign_plan)
-        assert "scenarios" not in data
+        assert data["scenarios"] == [DEFAULT_SCENARIO.as_dict()]
         assert validation_plan_from_dict(data).scenarios == (DEFAULT_SCENARIO,)
+        with pytest.raises(ConfigurationError, match="'scenarios'"):
+            validation_plan_from_dict({k: v for k, v in data.items() if k != "scenarios"})
         for unit in plan_validation_units(campaign_plan):
-            assert "scenario" not in unit.as_dict()
-        legacy_unit = ValidationUnit.from_dict(
-            {"index": 0, "horizon": 6.0, "rate_multiplier": 1.0, "sources": [0]}
-        )
-        assert legacy_unit.scenario == 0
+            assert unit.as_dict()["scenario"] == 0
+        with pytest.raises(KeyError):
+            ValidationUnit.from_dict(
+                {"index": 0, "horizon": 6.0, "rate_multiplier": 1.0, "sources": [0]}
+            )
 
-    def test_baseline_records_serialise_in_pre_scenario_format(self, scenario_campaign):
+    def test_baseline_records_serialise_their_scenario(self, scenario_campaign):
         baseline = scenario_campaign.filter(scenario="baseline")
         assert baseline
         for record in baseline:
             data = record.as_dict()
-            assert "scenario" not in data
-            assert ValidationRecord.from_dict(data).scenario == "baseline"
+            assert data["scenario"] == "baseline"
+            assert ValidationRecord.from_dict(data) == record
+            with pytest.raises(KeyError):
+                ValidationRecord.from_dict({k: v for k, v in data.items() if k != "scenario"})
         stressed = scenario_campaign.filter(scenario="poisson")[0]
         assert stressed.as_dict()["scenario"] == "poisson"
 
@@ -405,12 +409,31 @@ class TestScenarioAxis:
         assert record_lines(load_campaign(path)) == serial_lines
 
     def test_scenario_seed_depends_on_source_and_scenario(self, scenario_plan):
+        # common random numbers: the seed is a function of the grid point
+        # (configuration, rho) and the scenario, never of the algorithm
         base = scenario_plan.sweep_plan.base_seed
-        a, b = scenario_plan.sources[0], scenario_plan.sources[1]
+        ilp = next(s for s in scenario_plan.sources if s.algorithm == "ILP")
+        h1 = next(
+            s for s in scenario_plan.sources
+            if (s.configuration, s.rho, s.algorithm) == (ilp.configuration, ilp.rho, "H1")
+        )
+        other_rho = next(
+            s for s in scenario_plan.sources
+            if s.configuration == ilp.configuration and s.rho != ilp.rho
+        )
+        other_configuration = next(
+            s for s in scenario_plan.sources
+            if s.configuration != ilp.configuration and s.rho == ilp.rho
+        )
         poisson, bursty = SCENARIOS[1], SCENARIOS[2]
-        assert scenario_seed(base, a, poisson) == scenario_seed(base, a, poisson)
-        assert scenario_seed(base, a, poisson) != scenario_seed(base, b, poisson)
-        assert scenario_seed(base, a, poisson) != scenario_seed(base, a, bursty)
+        assert scenario_seed(base, ilp, poisson) == scenario_seed(base, ilp, poisson)
+        assert scenario_seed(base, ilp, poisson) == scenario_seed(base, h1, poisson)
+        assert scenario_seed(base, ilp, bursty) == scenario_seed(base, h1, bursty)
+        assert scenario_seed(base, ilp, poisson) != scenario_seed(base, other_rho, poisson)
+        assert scenario_seed(base, ilp, poisson) != scenario_seed(
+            base, other_configuration, poisson
+        )
+        assert scenario_seed(base, ilp, poisson) != scenario_seed(base, ilp, bursty)
 
     def test_series_filter_by_scenario(self, scenario_campaign):
         overall = throughput_ratio_series(scenario_campaign)
@@ -505,6 +528,32 @@ class TestValidationStore:
         ):
             with pytest.raises(ConfigurationError, match="line 2") as error:
                 load()
+            assert "\n" not in str(error.value)
+
+    def test_format_1_checkpoint_refused(self, tmp_path, campaign_plan):
+        # a campaign checkpointed before format 2 holds records of the old
+        # per-algorithm seeds: resuming it would mix seedings, loading it
+        # would serve them — both are refused with one line
+        path = tmp_path / "campaign.jsonl"
+        run_validation(campaign_plan, store=ValidationStore(path))
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        assert header["version"] == 2
+        lines[0] = json.dumps({**header, "version": 1})
+        path.write_text("\n".join(lines) + "\n")
+        shards = tmp_path / "sharded"
+        shards.mkdir()
+        (shards / "shard-0000.jsonl").write_text(path.read_text())
+        for load in (
+            lambda: load_campaign(path),
+            lambda: load_campaign(shards),
+            lambda: run_validation(campaign_plan, store=ValidationStore(path), resume=True),
+            lambda: run_validation(campaign_plan, store=shards, resume=True),
+        ):
+            with pytest.raises(ConfigurationError, match="predates validation checkpoint") as error:
+                load()
+            assert "format 2 (it has format 1)" in str(error.value)
+            assert "re-run the campaign" in str(error.value)
             assert "\n" not in str(error.value)
 
     def test_chunked_checkpoint_loads_complete(self, tmp_path, campaign_plan, serial_campaign):
@@ -628,10 +677,13 @@ class TestFluidScreen:
         )
         assert validation_fingerprint(screened_plan) != validation_fingerprint(tighter)
 
-    def test_unscreened_plan_serialises_without_screen_fields(self, campaign_plan):
+    def test_unscreened_plan_serialises_its_screen_fields(self, campaign_plan):
         data = validation_plan_to_dict(campaign_plan)
-        assert "screen" not in data
-        assert "screen_threshold" not in data
+        assert data["screen"] == "none"
+        assert data["screen_threshold"] == 0.85
+        for key in ("screen", "screen_threshold", "warmup_fraction", "max_datasets"):
+            with pytest.raises(ConfigurationError, match=repr(key)):
+                validation_plan_from_dict({k: v for k, v in data.items() if k != key})
 
     def test_every_grid_cell_is_recorded(
         self, screened_plan, screened_campaign, unscreened_campaign
@@ -677,9 +729,12 @@ class TestFluidScreen:
         assert data["tier"] == "fluid"
         assert ValidationRecord.from_dict(data) == record
 
-    def test_des_records_serialise_without_tier(self, serial_campaign):
+    def test_des_records_serialise_their_tier(self, serial_campaign):
         for record in serial_campaign.records:
-            assert "tier" not in record.as_dict()
+            data = record.as_dict()
+            assert data["tier"] == "des"
+            with pytest.raises(KeyError):
+                ValidationRecord.from_dict({k: v for k, v in data.items() if k != "tier"})
 
     def test_screened_campaign_is_deterministic(self, screened_plan, screened_campaign):
         again = run_validation(screened_plan)
@@ -692,3 +747,60 @@ class TestFluidScreen:
         run_validation(screened_plan, store=store)
         loaded = load_campaign(store.path)
         assert record_lines(loaded) == record_lines(screened_campaign)
+
+
+# --------------------------------------------------------------------------- #
+# one simulation per distinct allocation
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def shared_plan(captured_sweep) -> ValidationPlan:
+    """A campaign whose H1 sources carry ILP's allocation at the same point."""
+    plan = plan_from_sweep(
+        captured_sweep, horizons=(6.0,), rate_multipliers=(0.5, 1.0), scenarios=SCENARIOS
+    )
+    ilp = {(s.configuration, s.rho): s.payload for s in plan.sources if s.algorithm == "ILP"}
+    return replace(
+        plan,
+        sources=tuple(
+            replace(s, payload=ilp[(s.configuration, s.rho)]) for s in plan.sources
+        ),
+    )
+
+
+class TestSharedAllocations:
+    @pytest.mark.parametrize("screen", ["none", "fluid"])
+    def test_each_distinct_allocation_simulated_once(self, monkeypatch, shared_plan, screen):
+        plan = replace(shared_plan, screen=screen)
+        calls = []
+        simulate = StreamSimulator.run
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamSimulator, "run", counted)
+        shared = run_validation(plan)
+        shared_calls = len(calls)
+        # one source per unit: nothing is shared, every source is simulated
+        isolated = run_validation(plan, chunk_size=1)
+        assert record_lines(shared) == record_lines(isolated)
+
+        pairs: dict = {}
+        for record in shared.records:
+            pairs.setdefault(_cell(replace(record, algorithm="")), {})[record.algorithm] = record
+        assert len(pairs) == len(shared.records) // 2
+        for pair in pairs.values():
+            assert replace(pair["H1"], algorithm="ILP") == pair["ILP"]
+
+        tiers = {record.tier for record in shared.records}
+        assert tiers == ({"des"} if screen == "none" else {"des", "fluid"})
+        # per grid point, ILP and H1 hold one allocation: one simulation
+        simulated = {
+            (r.configuration, r.rho, r.horizon, r.rate_multiplier, r.scenario)
+            for r in shared.records
+            if r.tier == "des"
+        }
+        assert shared_calls == len(simulated)
+        assert len(calls) - shared_calls == 2 * len(simulated)

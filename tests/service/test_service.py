@@ -261,6 +261,34 @@ class TestRestartAndRecovery:
         finally:
             second.shutdown()
 
+    def test_recovered_job_with_format_1_campaign_fails_in_one_line(self, tmp_path):
+        # a store root written before campaign format 2: the recovered job
+        # must fail with the checkpoint refusal, not resume a mixed campaign
+        root = tmp_path / "state"
+        first = JobManager(root, jobs=1)
+        job, _ = first.submit(StudySpec.from_dict(tiny_spec_dict()))
+        assert job.wait(timeout=120) and job.state == "done"
+        first.shutdown()
+        downgraded = 0
+        for path in job.store_dir.rglob("*.jsonl"):
+            lines = path.read_text().splitlines()
+            header = json.loads(lines[0])
+            if header.get("store") == "validation":
+                lines[0] = json.dumps({**header, "version": 1})
+                path.write_text("\n".join(lines) + "\n")
+                downgraded += 1
+        assert downgraded
+
+        second = JobManager(root, jobs=1)
+        try:
+            assert second.recover() == 1
+            recovered = second.get(job.id)
+            assert recovered.wait(timeout=120) and recovered.state == "failed"
+            assert "predates validation checkpoint format 2" in recovered.error
+            assert "\n" not in recovered.error
+        finally:
+            second.shutdown()
+
     def test_recovers_journal_with_null_chunk_policy(self, tmp_path, reference):
         # older servers journaled execution dicts carrying "chunk_policy": null
         root = tmp_path / "state"

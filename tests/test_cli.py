@@ -396,6 +396,30 @@ class TestRunCommand:
 
 
 
+    def test_format_1_campaign_refused_on_resume(self, capsys, tmp_path):
+        """A campaign checkpoint written before format 2 is refused by both
+        `run --resume` and `validate --resume`: one line, exit 2."""
+        import json
+
+        study = tmp_path / "study.json"
+        campaign = tmp_path / "campaign.jsonl"
+        study.write_text(json.dumps(_tiny_study_dict(tmp_path / "sweep.jsonl", campaign)))
+        assert main(["run", str(study), "--quiet"]) == 0
+        lines = campaign.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), "version": 1})
+        campaign.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for argv in (
+            ["run", str(study), "--resume", "--quiet"],
+            ["validate", str(tmp_path / "sweep.jsonl"), "--horizons", "8",
+             "--multipliers", "1.0", "1.05", "--out", str(campaign), "--resume",
+             "--quiet"],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "predates validation checkpoint format 2" in err, argv
+            assert err.count("\n") == 1, argv
+
     def test_run_memo_repeated_all_hits_byte_identical(self, capsys, tmp_path):
         """The memo acceptance criterion: a repeated `run --memo` against a
         fresh store dir completes with 100% memo hits and writes checkpoint
