@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import available_solvers, create_solver
-from .core.exceptions import ConfigurationError, SimulationError
+from .core.exceptions import ConfigurationError, ReproError
 from .experiments.figures import FIGURES, figure_spec
 from .experiments.reporting import (
     campaign_summary,
@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resume from the --out checkpoint, skipping completed work units")
     p_fig.add_argument("--capture-allocations", action="store_true",
                        help="record each solved allocation (split + machine counts) in the "
-                            "sweep records, so 'validate' can replay them without re-solving")
+                            "sweep records; 'validate' replays them and refuses a sweep "
+                            "without them")
     p_fig.add_argument("--quiet", action="store_true", help="suppress progress messages")
 
     p_val = sub.add_parser(
@@ -125,9 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(validation campaign)",
     )
     p_val.add_argument("sweep", type=Path,
-                       help="sweep checkpoint/result JSONL (written by 'figure --out'; "
-                            "capture allocations with --capture-allocations to skip "
-                            "re-solving)")
+                       help="sweep checkpoint JSONL file or shard directory (written by "
+                            "'figure --out ... --capture-allocations')")
     p_val.add_argument("--horizons", type=float, nargs="+", default=[50.0],
                        help="simulated durations (time units) per allocation")
     p_val.add_argument("--multipliers", type=float, nargs="+", default=[1.0],
@@ -290,21 +290,20 @@ def _maybe_profile(stats_path: Path | None):
         stats.sort_stats("cumulative").print_stats(15)
 
 
-def _check_parallel_run_args(args: argparse.Namespace) -> str | None:
-    """Validate the shared --workers/--resume/--out flags; return an error or None."""
+def _check_parallel_run_args(args: argparse.Namespace) -> None:
+    """Validate the shared --workers/--resume/--out flags."""
     if args.workers is not None and args.workers < 1:
-        return f"--workers must be >= 1, got {args.workers}"
+        raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
     if args.resume and args.out is None:
-        return "--resume requires --out (the checkpoint file to resume from)"
+        raise ConfigurationError("--resume requires --out (the checkpoint file to resume from)")
     if args.resume and not args.out.exists():
         # unlike `run --resume` (which starts any stage whose checkpoint is
         # missing), the single-stage sub-commands treat a missing checkpoint
         # as a typo, exactly like the stores themselves do
-        return (
+        raise ConfigurationError(
             f"{args.out} does not exist; nothing to resume "
             f"(check the path, or drop --resume to start fresh)"
         )
-    return None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -312,37 +311,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .experiments.spec import StudySpec
 
     progress = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
-    try:
-        spec = StudySpec.from_json(args.spec)
-        overrides = {}
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if args.store_dir is not None:
-            # a directory override replaces the spec's checkpoint locations
-            # wholesale; explicit sweep_store/validation_store paths must not
-            # silently win over it (the manifest lives in store_dir too)
-            overrides["store_dir"] = str(args.store_dir)
-            overrides["sweep_store"] = None
-            overrides["validation_store"] = None
-        if args.resume:
-            overrides["resume"] = True
-        if args.memo or args.memo_path is not None:
-            overrides["memo"] = True
-        if args.memo_path is not None:
-            overrides["memo_path"] = str(args.memo_path)
-        # ExecutionSpec itself rejects resume without a checkpoint location,
-        # so a bare `--resume` on a store-less spec fails cleanly here
-        if overrides:
-            spec = replace(spec, execution=replace(spec.execution, **overrides))
-        study = Study.from_spec(spec)
-        with _maybe_profile(args.profile):
-            result = study.run(progress=progress)
-    except (ConfigurationError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = StudySpec.from_json(args.spec)
+    overrides = {}
+    if args.workers is not None:
+        overrides["workers"] = args.workers
+    if args.store_dir is not None:
+        # a directory override replaces the spec's checkpoint locations
+        # wholesale; explicit sweep_store/validation_store paths must not
+        # silently win over it (the manifest lives in store_dir too)
+        overrides["store_dir"] = str(args.store_dir)
+        overrides["sweep_store"] = None
+        overrides["validation_store"] = None
+    if args.resume:
+        overrides["resume"] = True
+    if args.memo or args.memo_path is not None:
+        overrides["memo"] = True
+    if args.memo_path is not None:
+        overrides["memo_path"] = str(args.memo_path)
+    # ExecutionSpec itself rejects resume without a checkpoint location,
+    # so a bare `--resume` on a store-less spec fails cleanly here
+    if overrides:
+        spec = replace(spec, execution=replace(spec.execution, **overrides))
+    study = Study.from_spec(spec)
+    with _maybe_profile(args.profile):
+        result = study.run(progress=progress)
     header = f"study '{spec.name}'"
     if spec.description:
         header += f": {spec.description}"
@@ -365,27 +357,19 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     progress = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     # "--throughputs" (given but empty) is an error, unlike the flag being absent
     if args.throughputs is not None and not args.throughputs:
-        print("error: --throughputs requires at least one value", file=sys.stderr)
-        return 2
-    error = _check_parallel_run_args(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        spec = figure_spec(
-            args.name,
-            num_configurations=args.configurations,
-            target_throughputs=args.throughputs,
-            iterations=args.iterations,
-            workers=args.workers,
-            sweep_store=None if args.out is None else str(args.out),
-            resume=args.resume,
-            capture_allocations=args.capture_allocations,
-        )
-        result = Study.from_spec(spec).run(progress=progress)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--throughputs requires at least one value")
+    _check_parallel_run_args(args)
+    spec = figure_spec(
+        args.name,
+        num_configurations=args.configurations,
+        target_throughputs=args.throughputs,
+        iterations=args.iterations,
+        workers=args.workers,
+        sweep_store=None if args.out is None else str(args.out),
+        resume=args.resume,
+        capture_allocations=args.capture_allocations,
+    )
+    result = Study.from_spec(spec).run(progress=progress)
     print(spec.description)
     print(render_series(result.series))
     if args.out is not None:
@@ -529,20 +513,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     progress = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     # "--algorithms" (given but empty) is an error, unlike the flag being absent
     if args.algorithms is not None and not args.algorithms:
-        print("error: --algorithms requires at least one name", file=sys.stderr)
-        return 2
-    error = _check_parallel_run_args(args)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    try:
-        sweep = SweepResult.load(args.sweep, allow_partial=True)
-    except OSError as exc:
-        print(f"error: cannot read sweep file {args.sweep}: {exc}", file=sys.stderr)
-        return 2
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--algorithms requires at least one name")
+    _check_parallel_run_args(args)
+    sweep = SweepResult.load(args.sweep, allow_partial=True)
     if len(sweep.records) != sweep.plan.num_records:
         print(
             f"warning: {args.sweep} holds {len(sweep.records)} of the "
@@ -551,34 +524,30 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"coverage",
             file=sys.stderr,
         )
-    try:
-        spec = validation_study_spec(
-            sweep.plan,
-            sweep_store=args.sweep,
-            horizons=args.horizons,
-            rate_multipliers=args.multipliers,
-            warmup_fraction=args.warmup,
-            max_datasets=args.max_datasets,
-            algorithms=args.algorithms,
-            scenarios=_build_scenarios(args),
-            screen=args.screen,
-            screen_threshold=args.screen_threshold,
-            workers=args.workers,
-            validation_store=args.out,
-            memo=args.memo,
-            memo_path=args.memo_path,
+    spec = validation_study_spec(
+        sweep.plan,
+        sweep_store=args.sweep,
+        horizons=args.horizons,
+        rate_multipliers=args.multipliers,
+        warmup_fraction=args.warmup,
+        max_datasets=args.max_datasets,
+        algorithms=args.algorithms,
+        scenarios=_build_scenarios(args),
+        screen=args.screen,
+        screen_threshold=args.screen_threshold,
+        workers=args.workers,
+        validation_store=args.out,
+        memo=args.memo,
+        memo_path=args.memo_path,
+    )
+    # the sweep is passed in pre-loaded (partial checkpoints included), so
+    # the sweep stage is skipped and only the campaign runs
+    with _maybe_profile(args.profile):
+        result = Study.from_spec(spec).run(
+            sweep=sweep,
+            resume=args.resume,
+            progress=progress,
         )
-        # the sweep is passed in pre-loaded (partial checkpoints included), so
-        # the sweep stage is skipped and only the campaign runs
-        with _maybe_profile(args.profile):
-            result = Study.from_spec(spec).run(
-                sweep=sweep,
-                resume=args.resume,
-                progress=progress,
-            )
-    except (ConfigurationError, SimulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     campaign = result.campaign
     print(campaign_summary(campaign))
     print(render_campaign(campaign))
@@ -631,8 +600,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         # whole-program analysis is the default when linting a tree
         project = any(path.is_dir() for path in paths)
     if args.graph is not None and not project:
-        print("error: --graph needs whole-program mode (--project)", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--graph needs whole-program mode (--project)")
     cache = None
     if project and not args.no_cache:
         cache = args.cache if args.cache is not None else default_cache_path()
@@ -644,13 +612,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             for token in item.split(",")
             if token.strip()
         ]
-    try:
-        report = lint_paths(
-            paths, rule_ids_filter=rule_filter, project=project, cache=cache
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = lint_paths(paths, rule_ids_filter=rule_filter, project=project, cache=cache)
     if args.output is not None:
         args.output.write_text(render_json(report), encoding="utf-8")
     if args.graph == "dot" and report.project is not None:
@@ -666,20 +628,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.server import serve
 
-    try:
-        return serve(
-            store_root=args.store_root,
-            host=args.host,
-            port=args.port,
-            jobs=args.jobs,
-            workers=args.workers,
-            validation_shards=args.validation_shards,
-            memo_path=args.memo_path,
-            request_timeout=args.request_timeout,
-        )
-    except (ConfigurationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return serve(
+        store_root=args.store_root,
+        host=args.host,
+        port=args.port,
+        jobs=args.jobs,
+        workers=args.workers,
+        validation_shards=args.validation_shards,
+        memo_path=args.memo_path,
+        request_timeout=args.request_timeout,
+    )
 
 
 def _cmd_settings(_args: argparse.Namespace) -> int:
@@ -697,7 +655,11 @@ def _cmd_settings(_args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point of ``repro-cloud`` and ``python -m repro``."""
+    """Entry point of ``repro-cloud`` and ``python -m repro``.
+
+    Any library error (:class:`~repro.core.exceptions.ReproError`) or I/O
+    error a command raises is printed as one ``error:`` line and exits 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
@@ -710,7 +672,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": _cmd_serve,
         "lint": _cmd_lint,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

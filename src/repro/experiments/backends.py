@@ -19,13 +19,16 @@ Two backends are provided:
   unit's records as it completes;
 * :class:`ProcessPoolBackend` — a :class:`concurrent.futures.ProcessPoolExecutor`
   fan-out that yields results in completion order.  The driver
-  (:func:`~repro.experiments.runner.run_plan`) reassembles records in
-  canonical unit order, so completion order never leaks into results.
+  (:func:`run_units`) reassembles records in canonical unit order, so
+  completion order never leaks into results.
 
-Both backends execute through the generic :func:`execute_unit` dispatch, so
-any picklable (plan, unit) pair following the ``unit.execute(plan, ...)``
-convention rides the same machinery — the validation campaigns of
-:mod:`repro.experiments.validation` reuse the backends this way.
+:func:`run_units` is the one fan-out driver: resume from a checkpoint store,
+serve memoised units, stream the rest through a backend, checkpoint and
+memoise each unit as it completes.  The sweep
+(:func:`~repro.experiments.runner.run_plan`) and the validation campaigns
+(:func:`~repro.experiments.validation.run_validation`) are thin adapters over
+it; any picklable unit with an ``execute(plan, **options)`` method rides the
+same machinery.
 """
 
 from __future__ import annotations
@@ -33,19 +36,19 @@ from __future__ import annotations
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from ..core.exceptions import ConfigurationError
 from ..generators.workload import generate_configuration_at
 from ..solvers.registry import ensure_default_solvers
 from .config import ExperimentPlan
+from .memo import MemoStats, ResultMemoStore
 from .runner import RunRecord, run_configuration
 
 __all__ = [
     "WorkUnit",
     "plan_work_units",
-    "execute_work_unit",
-    "execute_unit",
+    "run_units",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
@@ -109,9 +112,25 @@ class WorkUnit:
     def execute(
         self, plan: ExperimentPlan, *, check: bool = False, capture_allocations: bool = False
     ) -> list[RunRecord]:
-        """Run this unit against its plan (see :func:`execute_work_unit`)."""
-        return execute_work_unit(
-            plan, self, check=check, capture_allocations=capture_allocations
+        """Run this unit against its plan (worker-process entry point).
+
+        Regenerates the unit's configuration from the plan seeds, so the only
+        state shipped across a process boundary is (plan, unit) — both plain
+        picklable dataclasses.
+        """
+        ensure_default_solvers()
+        configuration = generate_configuration_at(
+            plan.setting, base_seed=plan.base_seed, index=self.configuration
+        )
+        return list(
+            run_configuration(
+                configuration,
+                plan.algorithms,
+                self.throughputs,
+                base_seed=plan.base_seed,
+                check=check,
+                capture_allocations=capture_allocations,
+            )
         )
 
 
@@ -142,53 +161,12 @@ def plan_work_units(plan: ExperimentPlan, *, chunk_size: int | None = None) -> l
     return units
 
 
-def execute_work_unit(
-    plan: ExperimentPlan,
-    unit: WorkUnit,
-    *,
-    check: bool = False,
-    capture_allocations: bool = False,
-) -> list[RunRecord]:
-    """Run one work unit and return its records (worker-process entry point).
-
-    Regenerates the unit's configuration from the plan seeds, so the only
-    state shipped across a process boundary is (plan, unit) — both plain
-    picklable dataclasses.
-    """
-    ensure_default_solvers()
-    configuration = generate_configuration_at(
-        plan.setting, base_seed=plan.base_seed, index=unit.configuration
-    )
-    return list(
-        run_configuration(
-            configuration,
-            plan.algorithms,
-            unit.throughputs,
-            base_seed=plan.base_seed,
-            check=check,
-            capture_allocations=capture_allocations,
-        )
-    )
-
-
-def execute_unit(plan, unit, *, check: bool = False, capture_allocations: bool = False) -> list:
-    """Execute any work unit against its plan (generic worker entry point).
-
-    Both backends funnel through this function so that any plan/unit pair
-    implementing the ``unit.execute(plan, *, check, capture_allocations)``
-    convention — the sweep's :class:`WorkUnit` as well as the validation
-    campaign's units (:mod:`repro.experiments.validation`) — runs on the same
-    execution machinery.
-    """
-    return unit.execute(plan, check=check, capture_allocations=capture_allocations)
-
-
 #: The plan and unit list of the pool this worker process belongs to, set once
 #: by the pool initializer.  Shipping both per *worker* instead of per
 #: *submit* matters for validation campaigns, whose plan embeds every
 #: captured allocation payload and can reach megabytes at paper scale — per
 #: task only a bare integer position travels over the pipe, and the
-#: plan-derived worker state (configurations, problems, resolved allocations;
+#: plan-derived worker state (configurations, problems, allocations;
 #: see ``_plan_context`` in :mod:`repro.experiments.validation`) is built
 #: once per worker process and reused across every unit it executes.
 _WORKER_PLAN = None
@@ -201,50 +179,36 @@ def _initialize_worker(plan, units: tuple) -> None:
     _WORKER_UNITS = units
 
 
-def _execute_indexed(position: int, *, check: bool = False, capture_allocations: bool = False):
+def _execute_indexed(position: int, **options):
     """Worker entry point of the index-only submission path.
 
     ``position`` indexes the unit tuple the initializer shipped — the task
     payload over the pipe is one integer, never a pickled unit.
     """
-    return execute_unit(
-        _WORKER_PLAN,
-        _WORKER_UNITS[position],
-        check=check,
-        capture_allocations=capture_allocations,
-    )
+    return _WORKER_UNITS[position].execute(_WORKER_PLAN, **options)
 
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
     """Executes work units, streaming ``(unit, records)`` as units complete.
 
-    The driver passes ``capture_allocations`` only when it is requested, so a
-    minimal backend implementing just ``run(plan, units, *, check=False)``
-    stays conformant for plain sweeps.
+    ``options`` are the driver's execution options, passed through verbatim
+    to every ``unit.execute(plan, **options)`` call (``check`` and
+    ``capture_allocations`` for a sweep, none for a campaign).
     """
 
     def run(
-        self, plan: ExperimentPlan, units: Sequence[WorkUnit], *, check: bool = False
-    ) -> Iterator[tuple[WorkUnit, list[RunRecord]]]:  # pragma: no cover - protocol
+        self, plan: Any, units: Sequence, **options: Any
+    ) -> Iterator[tuple[Any, list]]:  # pragma: no cover - protocol
         ...
 
 
 class SerialBackend:
     """In-process execution, one unit at a time, in canonical order."""
 
-    def run(
-        self,
-        plan,
-        units: Sequence,
-        *,
-        check: bool = False,
-        capture_allocations: bool = False,
-    ) -> Iterator[tuple]:
+    def run(self, plan, units: Sequence, **options) -> Iterator[tuple]:
         for unit in units:
-            yield unit, execute_unit(
-                plan, unit, check=check, capture_allocations=capture_allocations
-            )
+            yield unit, unit.execute(plan, **options)
 
 
 class ProcessPoolBackend:
@@ -257,7 +221,7 @@ class ProcessPoolBackend:
 
     Worker state is persistent: the plan and the full unit list ship once per
     worker process (pool initializer), each submitted task is a bare unit
-    *position*, and plan-derived objects (configurations, problems, resolved
+    *position*, and plan-derived objects (configurations, problems,
     allocations) are cached process-wide on the worker side and reused across
     every unit the worker executes — so a unit costs one integer over the
     pipe however small it is.  The default start method is ``forkserver``
@@ -306,14 +270,7 @@ class ProcessPoolBackend:
             return multiprocessing.get_context("fork")
         return None  # platform default (spawn on Windows/macOS)
 
-    def run(
-        self,
-        plan,
-        units: Sequence,
-        *,
-        check: bool = False,
-        capture_allocations: bool = False,
-    ) -> Iterator[tuple]:
+    def run(self, plan, units: Sequence, **options) -> Iterator[tuple]:
         queue = tuple(units)
         if not queue:  # e.g. resuming an already-complete checkpoint
             return
@@ -329,12 +286,7 @@ class ProcessPoolBackend:
         finished = False
 
         def submit(position):
-            return pool.submit(
-                _execute_indexed,
-                position,
-                check=check,
-                capture_allocations=capture_allocations,
-            )
+            return pool.submit(_execute_indexed, position, **options)
 
         try:
             pending = {}
@@ -360,3 +312,98 @@ class ProcessPoolBackend:
                 # not block on in-flight ones — the checkpoint already holds
                 # every unit that was yielded
                 pool.shutdown(wait=False, cancel_futures=True)
+
+
+def run_units(
+    plan,
+    units: Sequence,
+    *,
+    backend: "ExecutionBackend | None" = None,
+    store=None,
+    resume: bool = False,
+    progress: Callable[[str], None] | None = None,
+    memo: "ResultMemoStore | str | Path | None" = None,
+    study_key: str,
+    cell_keys: Callable[[Any], list[str]],
+    record_from_dict: Callable[[Mapping], Any],
+    label: Callable[[Any, list], str],
+    options: Mapping[str, Any] | None = None,
+) -> tuple[list, "MemoStats | None"]:
+    """Execute ``units`` of ``plan``; return every record and the memo counts.
+
+    The one fan-out loop behind :func:`~repro.experiments.runner.run_plan`
+    and :func:`~repro.experiments.validation.run_validation`:
+
+    1. with a ``store``, initialise it (``resume`` skips the units it already
+       holds, and is refused without a store);
+    2. with a ``memo``, serve every pending unit whose cells all hit
+       (``cell_keys(unit)`` under ``study_key``; hits and misses are counted
+       per cell);
+    3. stream the rest through ``backend.run(plan, pending, **options)``;
+    4. per completed unit, in this order: checkpoint it to the store, write
+       its records back to the memo (split evenly over its cell keys), then
+       report ``progress`` — so a unit is durable before anyone hears of it.
+
+    ``record_from_dict`` rebuilds memoised records and ``label(unit,
+    records)`` describes a unit in progress messages.  Records come back in
+    canonical unit order, whatever order the backend completed them in.  The
+    second value is ``None`` unless a memo was consulted.
+    """
+    if resume and store is None:
+        raise ConfigurationError("resume=True requires a store (the checkpoint to resume from)")
+    memo_store = ResultMemoStore(memo) if isinstance(memo, (str, Path)) else memo
+    if backend is None:
+        backend = SerialBackend()
+    total = len(units)
+    completed: dict[int, list] = {}
+    if store is not None:
+        completed = store.initialize(plan, resume=resume, units=units)
+        if completed and progress is not None:
+            progress(f"[{plan.name}] resumed {len(completed)}/{total} work units from {store.path}")
+    pending = [unit for unit in units if unit.index not in completed]
+    unit_cell_keys: dict[int, list[str]] = {}
+
+    def finish(unit, records: list, how: str) -> None:
+        completed[unit.index] = records
+        if store is not None:
+            store.append(unit, records)
+        keys = unit_cell_keys.get(unit.index)
+        if memo_store is not None and keys:
+            per_cell, rest = divmod(len(records), len(keys))
+            if per_cell and not rest:
+                for position, key in enumerate(keys):
+                    cell = records[position * per_cell : (position + 1) * per_cell]
+                    memo_store.put(study_key, key, [record.as_dict() for record in cell])
+        if progress is not None:
+            progress(
+                f"[{plan.name}] work unit {len(completed)}/{total} {how} "
+                f"({label(unit, records)})"
+            )
+
+    memo_stats: MemoStats | None = None
+    if memo_store is not None and pending:
+        memo_stats = MemoStats()
+        still_pending: list = []
+        for unit in pending:
+            keys = cell_keys(unit)
+            cached = [memo_store.lookup(study_key, key) for key in keys]
+            if keys and all(entry is not None for entry in cached):
+                memo_stats.hits += len(keys)
+                records = [record_from_dict(data) for entry in cached for data in entry]
+                finish(unit, records, "served from memo")
+            else:
+                memo_stats.misses += len(keys)
+                unit_cell_keys[unit.index] = keys
+                still_pending.append(unit)
+        pending = still_pending
+
+    for unit, records in backend.run(plan, pending, **(options or {})):
+        finish(unit, records, "done")
+    missing = [unit.index for unit in units if unit.index not in completed]
+    if missing:
+        raise ConfigurationError(
+            f"backend returned no result for {len(missing)} work unit(s) "
+            f"(indices {missing[:10]}{'...' if len(missing) > 10 else ''}); "
+            f"a conforming backend must yield every unit or raise"
+        )
+    return [record for unit in units for record in completed[unit.index]], memo_stats

@@ -22,7 +22,7 @@ Keys are content fingerprints, never labels:
 * the **cell key** hashes the one grid cell: ``(configuration index, rho)``
   for a sweep cell, ``(source, horizon, rate multiplier, scenario)`` for a
   validation cell — with the source's captured allocation payload included,
-  so a re-solved sweep never serves records for a different allocation.
+  so a cell is never served records simulated from a different allocation.
 
 Both keys go through :func:`~repro.utils.rng.stable_text_digest` over the
 canonical (sorted, separator-free) JSON form, so they are identical across

@@ -67,11 +67,9 @@ def sweep_summary(result: SweepResult) -> str:
 def campaign_summary(campaign) -> str:
     """One-line description of a validation campaign (printed before the series)."""
     plan = campaign.plan
-    captured = sum(1 for source in plan.sources if source.payload is not None)
     summary = (
         f"validation campaign '{plan.name}': {len(campaign.records)} simulations "
-        f"({len(plan.sources)} allocations, {captured} captured / "
-        f"{len(plan.sources) - captured} re-solved, horizons "
+        f"({len(plan.sources)} captured allocations, horizons "
         f"{', '.join(f'{h:g}' for h in plan.horizons)}, rate multipliers "
         f"{', '.join(f'{m:g}' for m in plan.rate_multipliers)}, scenarios "
         f"{', '.join(scenario.name for scenario in plan.scenarios)})"

@@ -6,7 +6,8 @@ configuration and each target throughput, every algorithm is run and its cost
 and wall-clock time recorded.  The result is a flat list of
 :class:`RunRecord` rows that the metric and figure modules aggregate.
 
-Since PR 2 the runner is a thin driver over two collaborating layers:
+:func:`run_plan` is a thin adapter over the fan-out driver
+:func:`~repro.experiments.backends.run_units`, which joins two layers:
 
 * an :class:`~repro.experiments.backends.ExecutionBackend` that executes the
   sweep's picklable work units (serially or across a process pool) and streams
@@ -26,14 +27,13 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from ..core.allocation import Allocation, ThroughputSplit
-from ..core.exceptions import ConfigurationError
 from ..generators.workload import Configuration
 from ..utils.rng import derive_seed, stable_text_digest
 from .config import AlgorithmSpec, ExperimentPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .backends import ExecutionBackend
-    from .store import SweepStore
+    from .store import ShardedStore, SweepStore
 
 __all__ = ["AllocationPayload", "RunRecord", "SweepResult", "run_plan", "run_configuration"]
 
@@ -50,10 +50,10 @@ class AllocationPayload:
 
     Carried (optionally) by a :class:`RunRecord` so downstream consumers — the
     validation campaigns of :mod:`repro.experiments.validation` in particular —
-    can replay exactly the allocation the solver produced instead of
-    re-solving.  Machine counts are stored as ``(type, count)`` pairs rather
-    than a mapping because JSON object keys are always strings, which would not
-    round-trip the paper's integer type identifiers.
+    can replay exactly the allocation the solver produced.  Machine counts are
+    stored as ``(type, count)`` pairs rather than a mapping because JSON
+    object keys are always strings, which would not round-trip the paper's
+    integer type identifiers.
     """
 
     split: tuple[float, ...]
@@ -98,9 +98,8 @@ class RunRecord:
     """One (configuration, throughput, algorithm) measurement.
 
     ``allocation`` is an optional :class:`AllocationPayload` captured when the
-    sweep runs with ``capture_allocations=True``; records written before that
-    option existed (or without it) simply carry ``None`` and old checkpoint
-    files load unchanged.
+    sweep runs with ``capture_allocations=True``; records written without it
+    carry ``None`` — they load, but a validation campaign refuses them.
     """
 
     configuration: int
@@ -270,18 +269,14 @@ class SweepResult:
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
-    def save(self, path: str | Path) -> Path:
-        """Write the full result (plan header + one JSONL line per record)."""
-        from .store import save_sweep_result
-
-        return save_sweep_result(self, path)
-
     @classmethod
     def load(cls, path: str | Path, *, allow_partial: bool = False) -> "SweepResult":
-        """Inverse of :meth:`save`; also reads checkpoint files (unit lines).
+        """Read the checkpoint a ``run_plan(store=...)`` wrote.
 
-        An incomplete file (fewer records than its plan calls for) is refused
-        unless ``allow_partial``.
+        ``path`` is a single checkpoint file or a directory of
+        ``shard-*.jsonl`` shard stores; records come back in canonical unit
+        order either way.  An incomplete checkpoint (fewer records than its
+        plan calls for) is refused unless ``allow_partial``.
         """
         from .store import load_sweep_result
 
@@ -360,7 +355,7 @@ def run_plan(
     plan: ExperimentPlan,
     *,
     backend: "ExecutionBackend | None" = None,
-    store: "SweepStore | str | Path | None" = None,
+    store: "SweepStore | ShardedStore | str | Path | None" = None,
     resume: bool = False,
     progress: Callable[[str], None] | None = None,
     check: bool = False,
@@ -369,6 +364,9 @@ def run_plan(
     memo=None,
 ) -> SweepResult:
     """Execute a full experiment plan and collect every record.
+
+    A thin adapter over :func:`~repro.experiments.backends.run_units`, the
+    fan-out driver it shares with the validation campaigns.
 
     Parameters
     ----------
@@ -382,8 +380,10 @@ def run_plan(
         depends on how much CPU each worker gets (a ``RuntimeWarning`` is
         emitted for such plans).
     store:
-        Optional :class:`~repro.experiments.store.SweepStore` (or a path to
-        one) checkpointing each completed work unit to append-only JSONL.
+        Optional :class:`~repro.experiments.store.SweepStore` or
+        :class:`~repro.experiments.store.ShardedStore` checkpointing each
+        completed work unit to append-only JSONL; a path is a store file, an
+        existing directory a shard root (:func:`~repro.experiments.store.as_store`).
     resume:
         With a store whose file already exists and matches the plan
         fingerprint, skip the work units it has already completed.
@@ -400,9 +400,7 @@ def run_plan(
         Attach each solved allocation (split + machine counts) to its record
         as an :class:`AllocationPayload`, round-tripped through the checkpoint
         store — the input the ``validate`` campaigns replay.  Off by default
-        to keep checkpoint files small.  Only passed to the backend when set,
-        so third-party backends unaware of the option keep working for plain
-        sweeps.
+        to keep checkpoint files small.
     memo:
         Optional :class:`~repro.experiments.memo.ResultMemoStore` (or a path
         to one).  Each (configuration, throughput) cell is fingerprinted;
@@ -410,20 +408,14 @@ def run_plan(
         are written back, and the result's ``memo_stats`` reports hits and
         misses (counted per cell).
     """
-    from .backends import SerialBackend, plan_work_units
-    from .memo import MemoStats, ResultMemoStore, memo_key
-    from .store import SweepStore
+    from .backends import SerialBackend, plan_work_units, run_units
+    from .memo import memo_key
+    from .store import SweepStore, as_store
 
-    if resume and store is None:
-        raise ConfigurationError("resume=True requires a store (the checkpoint to resume from)")
-    if isinstance(store, (str, Path)):
-        store = SweepStore(store)
-    if isinstance(memo, (str, Path)):
-        memo = ResultMemoStore(memo)
-    if backend is None:
-        backend = SerialBackend()
-    elif not isinstance(backend, SerialBackend) and any(
-        "time_limit" in spec.params for spec in plan.algorithms
+    if (
+        backend is not None
+        and not isinstance(backend, SerialBackend)
+        and any("time_limit" in spec.params for spec in plan.algorithms)
     ):
         import warnings
 
@@ -434,86 +426,26 @@ def run_plan(
             RuntimeWarning,
             stacklevel=2,
         )
-    units = plan_work_units(plan, chunk_size=chunk_size)
-    total = len(units)
-    completed: dict[int, list[RunRecord]] = {}
-    if store is not None:
-        completed = store.initialize(plan, resume=resume, units=units)
-        if completed and progress is not None:
-            progress(f"[{plan.name}] resumed {len(completed)}/{total} work units from {store.path}")
-    pending = [unit for unit in units if unit.index not in completed]
-
-    # memo pre-pass: a unit whose every (configuration, rho) cell is cached
-    # is served without solving; anything else runs and is written back
-    memo_stats = None
-    unit_cell_keys: dict[int, list[str]] = {}
-    records_per_cell = len(plan.algorithms)
-    study_key = (
-        _sweep_memo_study_key(plan, check=check, capture_allocations=capture_allocations)
-        if memo is not None
-        else ""
+    records, memo_stats = run_units(
+        plan,
+        plan_work_units(plan, chunk_size=chunk_size),
+        backend=backend,
+        store=as_store(store, SweepStore),
+        resume=resume,
+        progress=progress,
+        memo=memo,
+        study_key=_sweep_memo_study_key(
+            plan, check=check, capture_allocations=capture_allocations
+        ),
+        cell_keys=lambda unit: [
+            memo_key({"configuration": unit.configuration, "rho": float(rho)})
+            for rho in unit.throughputs
+        ],
+        record_from_dict=RunRecord.from_dict,
+        label=lambda unit, records: (
+            f"configuration {unit.configuration + 1}/{plan.num_configurations}, "
+            f"{len(records)} runs"
+        ),
+        options={"check": check, "capture_allocations": capture_allocations},
     )
-    if memo is not None and pending:
-        memo_stats = MemoStats()
-        still_pending = []
-        for unit in pending:
-            keys = [
-                memo_key({"configuration": unit.configuration, "rho": float(rho)})
-                for rho in unit.throughputs
-            ]
-            cached = [memo.lookup(study_key, key) for key in keys]
-            if keys and all(entry is not None for entry in cached):
-                records = [
-                    RunRecord.from_dict(data) for entry in cached for data in entry
-                ]
-                memo_stats.hits += len(keys)
-                completed[unit.index] = records
-                if store is not None:
-                    store.append(unit, records)
-                if progress is not None:
-                    progress(
-                        f"[{plan.name}] work unit {len(completed)}/{total} served "
-                        f"from memo (configuration {unit.configuration + 1}/"
-                        f"{plan.num_configurations}, {len(records)} runs)"
-                    )
-            else:
-                memo_stats.misses += len(keys)
-                unit_cell_keys[unit.index] = keys
-                still_pending.append(unit)
-        pending = still_pending
-
-    run_kwargs: dict = {"check": check}
-    if capture_allocations:
-        run_kwargs["capture_allocations"] = True
-    for unit, records in backend.run(plan, pending, **run_kwargs):
-        completed[unit.index] = records
-        if store is not None:
-            store.append(unit, records)
-        if memo is not None:
-            keys = unit_cell_keys.get(unit.index)
-            # records stream rho-major (algorithms innermost), one slice per cell
-            if keys is not None and len(records) == len(keys) * records_per_cell:
-                for position, key in enumerate(keys):
-                    slice_ = records[
-                        position * records_per_cell : (position + 1) * records_per_cell
-                    ]
-                    memo.put(study_key, key, [record.as_dict() for record in slice_])
-        if progress is not None:
-            progress(
-                f"[{plan.name}] work unit {len(completed)}/{total} done "
-                f"(configuration {unit.configuration + 1}/{plan.num_configurations}, "
-                f"{len(records)} runs)"
-            )
-    # assemble in canonical unit order so serial and parallel sweeps agree
-    missing = [unit.index for unit in units if unit.index not in completed]
-    if missing:
-        raise ConfigurationError(
-            f"backend returned no result for {len(missing)} work unit(s) "
-            f"(indices {missing[:10]}{'...' if len(missing) > 10 else ''}); "
-            f"a conforming backend must yield every unit or raise"
-        )
-    result = SweepResult(plan=plan)
-    for unit in units:
-        result.extend(completed[unit.index])
-    result.memo_stats = memo_stats
-    return result
+    return SweepResult(plan=plan, records=records, memo_stats=memo_stats)

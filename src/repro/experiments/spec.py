@@ -210,7 +210,9 @@ class ExecutionSpec:
         "memo",
         "memo_path",
     )
-    # scheduling only: none of these may ever change a computed record
+    # none of these enters the fingerprint; all but capture_allocations are
+    # pure scheduling, while capture_allocations adds the allocation payload
+    # to sweep records (costs unchanged; a validation spec forces it on)
     _FINGERPRINTED = ()
     _EXECUTION_ONLY = (
         "workers",
@@ -568,8 +570,8 @@ class StudySpec:
     def capture_allocations(self) -> bool:
         """Whether the sweep records carry allocation payloads.
 
-        Forced on when the study validates — the campaign then replays
-        exactly what was solved instead of re-solving per simulation.
+        Forced on when the study validates — the campaign replays exactly
+        what was solved, and refuses a sweep record without its payload.
         """
         return self.execution.capture_allocations or self.validation is not None
 

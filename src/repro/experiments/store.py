@@ -1,4 +1,4 @@
-"""Persistence for sweeps: append-only JSONL checkpointing and result files.
+"""Persistence for sweeps and campaigns: append-only JSONL checkpoints.
 
 File format (one JSON object per line):
 
@@ -9,21 +9,21 @@ File format (one JSON object per line):
   sweep that produced it.  ``version`` is the store's format
   (:attr:`JsonlCheckpointStore.store_version`): 1 for sweeps, 2 for
   validation campaigns; a file in any other format is refused.
-* subsequent lines — either ``{"kind": "unit", "unit": {...},
-  "records": [...]}`` (one completed work unit, written by the checkpointing
-  runner) or ``{"kind": "record", ...}`` (one record, written by
-  :func:`save_sweep_result`).
+* every later line — a unit row ``{"kind": "unit", "unit": {...},
+  "records": [...]}``: one completed work unit.  Any other row is refused
+  with its line number.
 
-Each appended line is flushed and fsynced, so a sweep killed mid-run loses at
-most the line being written; :func:`repro.io.read_jsonl` drops a truncated
-final line when loading a checkpoint.
+Each appended line is flushed and fsynced, so a run killed mid-append loses
+at most the line being written; :func:`repro.io.read_jsonl` drops a truncated
+final line when loading a checkpoint.  :func:`load_checkpoint` reads a single
+file or a :class:`ShardedStore` directory; a completed checkpoint *is* the
+saved result.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Mapping
 
@@ -38,7 +38,8 @@ __all__ = [
     "JsonlCheckpointStore",
     "ShardedStore",
     "SweepStore",
-    "save_sweep_result",
+    "as_store",
+    "load_checkpoint",
     "load_sweep_result",
     "shard_paths",
 ]
@@ -48,11 +49,13 @@ __all__ = [
 _MALFORMED_ROW = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
-def _malformed_row(path: Path, number: int, exc: Exception) -> ConfigurationError:
+def _malformed_row(
+    path: Path, number: int, exc: Exception, kind: str = "unit"
+) -> ConfigurationError:
     """The one-line error for a checkpoint row this version cannot parse."""
     detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
     return ConfigurationError(
-        f"{path} line {number} is not a unit or record row this version can "
+        f"{path} line {number} is not a {kind} row this version can "
         f"read ({detail}); refusing to load it"
     )
 
@@ -110,9 +113,6 @@ class JsonlCheckpointStore:
     @staticmethod
     def _record_from_dict(data):
         raise NotImplementedError
-
-    def _refuse_row(self, row: Mapping, number: int) -> None:
-        """Hook: reject store-specific row kinds that make a file unresumable."""
 
     # ------------------------------------------------------------------ #
     def initialize(self, plan, *, resume: bool = False, units: list | None = None) -> dict:
@@ -181,24 +181,26 @@ class JsonlCheckpointStore:
                 f"{self.path} is empty, not a {self.data_description} checkpoint"
             )
         header = self._check_header_row(rows[0])
-        stored_plan = self._plan_from_dict(header["plan"])
-        if plan is not None and header["fingerprint"] != self._fingerprint(plan):
+        try:
+            stored_plan = self._plan_from_dict(header["plan"])
+            fingerprint = str(header["fingerprint"])
+        except _MALFORMED_ROW as exc:
+            raise _malformed_row(self.path, 1, exc, "header") from None
+        if plan is not None and fingerprint != self._fingerprint(plan):
             raise ConfigurationError(
                 f"{self.path} was written by a different {self.plan_noun} "
-                f"(fingerprint {header['fingerprint'][:12]}... != "
+                f"(fingerprint {fingerprint[:12]}... != "
                 f"{self._fingerprint(plan)[:12]}...); refusing to resume"
             )
         completed: dict[int, list] = {}
         stored_units: dict[int, dict] = {}
         for number, row in enumerate(rows[1:], start=2):
-            if not isinstance(row, Mapping):
+            if not isinstance(row, Mapping) or row.get("kind") != "unit":
                 raise ConfigurationError(
-                    f"{self.path} line {number} is not a JSON object, "
-                    f"not a {self.data_description} checkpoint"
+                    f"{self.path} line {number} is not a unit row; a "
+                    f"{self.data_description} checkpoint holds one header line "
+                    f"and unit rows only"
                 )
-            self._refuse_row(row, number)
-            if row.get("kind") != "unit":
-                continue
             try:
                 unit = self._unit_from_dict(row["unit"])
                 records = [self._record_from_dict(entry) for entry in row["records"]]
@@ -249,7 +251,7 @@ class JsonlCheckpointStore:
 
         Only an empty file or a bare header (an aborted run that never
         completed a unit) may be recreated.  Everything else is refused,
-        conservatively: a populated checkpoint or result file, an unreadable
+        conservatively: a header followed by any row at all, an unreadable
         file (a corrupt interior line in an otherwise recoverable
         checkpoint), and any file that is not a checkpoint at all (a mistyped
         ``--out`` pointing at unrelated data).
@@ -285,7 +287,7 @@ class JsonlCheckpointStore:
                 f"{self.data_description} checkpoint; refusing to overwrite it "
                 f"(pick another path or delete the file)"
             )
-        if any(isinstance(row, dict) and row.get("kind") in ("unit", "record") for row in rows[1:]):
+        if rows[1:]:
             return (
                 f"{self.path} already holds {self.data_description} data; resume the "
                 f"checkpoint with resume=True (--resume on the command line), or delete "
@@ -338,17 +340,6 @@ class SweepStore(JsonlCheckpointStore):
     _unit_from_dict = staticmethod(WorkUnit.from_dict)
     _record_from_dict = staticmethod(RunRecord.from_dict)
 
-    def _refuse_row(self, row: Mapping, number: int) -> None:
-        if row.get("kind") == "record":
-            # a save_sweep_result file: its records are not keyed by work
-            # unit, so resuming against it would re-run the whole sweep
-            # and append duplicates of every record
-            raise ConfigurationError(
-                f"{self.path} is a saved sweep result, not a resumable checkpoint "
-                f"(checkpoints are written by run_plan(store=...)); load it with "
-                f"SweepResult.load instead"
-            )
-
 
 _SHARD_PATTERN = "shard-*.jsonl"
 
@@ -365,17 +356,16 @@ class ShardedStore:
     append-only file (interleaved writers would tear lines); instead each
     writer appends to its own :class:`JsonlCheckpointStore` under a common
     directory — ``<root>/shard-0000.jsonl``, ``shard-0001.jsonl``, ... —
-    and the shards are merged on load.  Every shard carries the full
-    fingerprinted header, so each file is independently resumable and a
+    and :func:`load_checkpoint` merges the shards.  Every shard carries the
+    full fingerprinted header, so each file is independently resumable and a
     foreign shard dropped into the directory is refused exactly like a
     foreign single-store checkpoint.
 
-    The class duck-types the store interface the drivers use
+    The class duck-types the store interface the driver uses
     (:meth:`initialize` / :meth:`append`, plus a ``path`` attribute for
-    messages), so :func:`run_validation` and
-    :func:`~repro.experiments.runner.run_plan` take a ``ShardedStore``
-    anywhere they take a single store.  Units are routed to shards by
-    ``unit.index % shards``; merging is keyed by unit index with
+    messages), so :func:`~repro.experiments.backends.run_units` takes a
+    ``ShardedStore`` anywhere it takes a single store.  Units are routed to
+    shards by ``unit.index % shards``; merging is keyed by unit index with
     first-shard-wins on duplicates, and the driver reassembles records in
     canonical unit order — so a sharded run is byte-identical to a
     single-store run of the same plan.
@@ -473,89 +463,66 @@ class ShardedStore:
         self.shard_for(unit.index).append(unit, records)
 
 
-def _ends_with_newline(path: Path) -> bool:
-    with path.open("rb") as handle:
-        handle.seek(0, os.SEEK_END)
-        if handle.tell() == 0:
-            return False
-        handle.seek(-1, os.SEEK_END)
-        return handle.read(1) == b"\n"
+def as_store(store, store_type: type[JsonlCheckpointStore]):
+    """The store a driver's ``store`` argument names.
+
+    A directory path becomes a :class:`ShardedStore` of ``store_type`` shards
+    (resumable; a fresh sharded run needs an explicit shard count), any other
+    path a single ``store_type`` file; store objects and ``None`` pass
+    through unchanged.
+    """
+    if isinstance(store, (str, Path)):
+        if Path(store).is_dir():
+            return ShardedStore(store, store_type=store_type)
+        return store_type(store)
+    return store
 
 
-def save_sweep_result(result: SweepResult, path: str | Path) -> Path:
-    """Write a complete :class:`SweepResult` (header + one line per record).
+def load_checkpoint(path: str | Path, store_type: type[JsonlCheckpointStore]) -> tuple:
+    """Read a checkpoint: ``(plan, records in canonical unit order)``.
 
-    The write is atomic (temp file + rename), so an interrupted save never
-    leaves a partial result file behind — the target either keeps its old
-    content or holds the complete new one.
+    ``path`` is a single ``store_type`` file or a :class:`ShardedStore`
+    directory of ``shard-*.jsonl`` files.  Shards are merged under the plan
+    fingerprint of the first one — first shard wins on a duplicate unit, a
+    shard with a foreign fingerprint is refused — and records are reassembled
+    in canonical unit order, so a sharded checkpoint reads byte-identically to
+    a single-file one.  Completeness is the caller's check.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(
-            json.dumps(
-                SweepStore(path)._header(result.plan), sort_keys=True, separators=(",", ":")
-            )
-            + "\n"
+    if not path.exists():
+        raise ConfigurationError(f"{path} does not exist")
+    paths = shard_paths(path) if path.is_dir() else [path]
+    if not paths:
+        raise ConfigurationError(
+            f"{path} is a directory holding no shard checkpoints "
+            f"({_SHARD_PATTERN}); not a sharded {store_type.data_description} store"
         )
-        for record in result.records:
-            row = {"kind": "record", **record.as_dict()}
-            handle.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
+    plan = None
+    completed: dict[int, list] = {}
+    for shard in paths:
+        # passing the first shard's plan makes _load_checkpoint refuse any
+        # shard with a foreign fingerprint — one directory, one run
+        shard_plan, shard_completed, _ = store_type(shard)._load_checkpoint(plan)
+        if plan is None:
+            plan = shard_plan
+        for index, records in shard_completed.items():
+            completed.setdefault(index, records)
+    return plan, [record for index in sorted(completed) for record in completed[index]]
 
 
 def load_sweep_result(path: str | Path, *, allow_partial: bool = False) -> SweepResult:
-    """Read a sweep file written by :func:`save_sweep_result` or a checkpoint.
+    """Read a sweep checkpoint (a file or a shard directory) as a result.
 
-    Checkpoint files ("unit" lines) are merged in canonical unit order, so a
-    resumed-and-completed checkpoint loads record-for-record identical to the
-    uninterrupted sweep's :func:`save_sweep_result` output.
-
-    A file holding fewer records than its header's plan calls for (an
-    interrupted, never-resumed checkpoint) is refused unless
-    ``allow_partial`` — figure aggregations over silently incomplete sweeps
-    produce misleading curves.
+    A checkpoint holding fewer records than its header's plan calls for (an
+    interrupted, never-resumed sweep) is refused unless ``allow_partial`` —
+    figure aggregations over silently incomplete sweeps produce misleading
+    curves.
     """
-    path = Path(path)
-    rows = read_jsonl(path, ignore_truncated=True)
-    if not rows:
-        raise ConfigurationError(f"{path} is empty, not a sweep file")
-    header = SweepStore(path)._check_header_row(rows[0])
-    plan = plan_from_dict(header["plan"])
-    result = SweepResult(plan=plan)
-    units: dict[int, list[RunRecord]] = {}
-    saw_record = False
-    for number, row in enumerate(rows[1:], start=2):
-        if not isinstance(row, Mapping):
-            raise ConfigurationError(f"{path} line {number} is not a JSON object")
-        kind = row.get("kind")
-        try:
-            if kind == "record":
-                saw_record = True
-                result.records.append(RunRecord.from_dict(row))
-            elif kind == "unit":
-                unit = WorkUnit.from_dict(row["unit"])
-                units[unit.index] = [RunRecord.from_dict(entry) for entry in row["records"]]
-        except _MALFORMED_ROW as exc:
-            raise _malformed_row(path, number, exc) from None
-    if saw_record and not _ends_with_newline(path):
-        # a torn tail is tolerable in an append-only checkpoint (the lost unit
-        # just re-runs on resume) but in a save_sweep_result file it means the
-        # save never completed — don't silently aggregate over missing records
+    plan, records = load_checkpoint(path, SweepStore)
+    if len(records) != plan.num_records and not allow_partial:
         raise ConfigurationError(
-            f"{path} ends mid-line; the save that wrote it did not complete"
-        )
-    for index in sorted(units):
-        result.extend(units[index])
-    expected = plan.num_records
-    if len(result.records) != expected and not allow_partial:
-        raise ConfigurationError(
-            f"{path} holds {len(result.records)} of the {expected} records its plan "
+            f"{path} holds {len(records)} of the {plan.num_records} records its plan "
             f"calls for (incomplete sweep); resume it, or pass allow_partial=True to "
             f"load it anyway"
         )
-    return result
+    return SweepResult(plan=plan, records=records)

@@ -13,25 +13,30 @@ by the same :class:`~repro.experiments.backends.ExecutionBackend` machinery
 as the sweep itself, with per-unit JSONL checkpointing and resume under a
 plan fingerprint.
 
-The pieces mirror the sweep subsystem one-for-one:
+The sweep and the campaign supply their own types to one shared machinery:
 
-=====================  ==========================================
-sweep layer            validation layer
-=====================  ==========================================
-``ExperimentPlan``     :class:`ValidationPlan` (built by
-                       :func:`plan_from_sweep`)
-``WorkUnit``           :class:`ValidationUnit`
-``RunRecord``          :class:`ValidationRecord`
-``run_plan``           :func:`run_validation`
-``SweepStore``         :class:`ValidationStore`
-``SweepResult``        :class:`CampaignResult`
-=====================  ==========================================
+=====================  ==========================  =============================
+role                   sweep                       validation campaign
+=====================  ==========================  =============================
+plan                   ``ExperimentPlan``          :class:`ValidationPlan` (built
+                                                   by :func:`plan_from_sweep`)
+work unit              ``WorkUnit``                :class:`ValidationUnit`
+record                 ``RunRecord``               :class:`ValidationRecord`
+checkpoint store       ``SweepStore``              :class:`ValidationStore`
+result                 ``SweepResult``             :class:`CampaignResult`
+=====================  ==========================  =============================
 
-Allocations come from the sweep records' optional
+``run_plan`` and :func:`run_validation` are adapters over the one driver,
+:func:`~repro.experiments.backends.run_units`; ``SweepResult.load`` and
+:func:`load_campaign` read through the one checkpoint reader,
+:func:`~repro.experiments.store.load_checkpoint`.
+
+Allocations come from the sweep records'
 :class:`~repro.experiments.runner.AllocationPayload` (captured with
 ``capture_allocations=True``), so campaigns simulate *exactly* what was
-solved; records without a payload (older checkpoint files) fall back to
-re-solving with the sweep's own deterministic seed derivation.  Simulation is
+solved; a sweep record without a payload is refused, never re-solved — a
+time-limited solver re-run could return a different incumbent than the one
+the sweep priced.  Simulation is
 fully deterministic — stochastic scenarios draw from seeds derived per
 (configuration, rho, scenario) with :func:`~repro.utils.rng.stable_text_digest`
 — so serial, parallel and interrupt-and-resume campaigns produce
@@ -58,14 +63,13 @@ from ..core.exceptions import ConfigurationError
 from ..generators.workload import generate_configuration_at
 from ..simulation.engine import StreamSimulator
 from ..simulation.scenarios import DEFAULT_SCENARIO, ScenarioSpec
-from ..solvers.registry import ensure_default_solvers
 from ..utils.rng import derive_seed, stable_text_digest
-from .backends import SerialBackend
+from .backends import run_units
 from .config import ExperimentPlan, plan_from_dict, plan_to_dict
 from .memo import MemoStats, ResultMemoStore, memo_key
 from .metrics import SeriesByAlgorithm
 from .runner import RHO_ABS_TOL, RHO_REL_TOL, AllocationPayload, SweepResult
-from .store import JsonlCheckpointStore, ShardedStore, shard_paths
+from .store import JsonlCheckpointStore, ShardedStore, as_store, load_checkpoint
 
 __all__ = [
     "AllocationSource",
@@ -97,37 +101,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AllocationSource:
-    """One allocation to validate: where it came from and (optionally) what it is.
+    """One allocation to validate: where it came from and what it is.
 
-    ``payload`` carries the solved allocation when the sweep captured it;
-    ``None`` means the executing side re-solves deterministically with the
-    sweep's seed derivation (slower, but lets campaigns run against old
-    checkpoint files that predate allocation capture).
+    ``payload`` is the allocation the sweep solved and captured; the
+    campaign replays exactly that, never a re-solve.
     """
 
     configuration: int
     rho: float
     algorithm: str
-    payload: AllocationPayload | None = None
+    payload: AllocationPayload
 
     def as_dict(self) -> dict:
-        data: dict = {
+        return {
             "configuration": self.configuration,
             "rho": self.rho,
             "algorithm": self.algorithm,
+            "allocation": self.payload.as_dict(),
         }
-        if self.payload is not None:
-            data["allocation"] = self.payload.as_dict()
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "AllocationSource":
-        payload = data.get("allocation")
         return cls(
             configuration=int(data["configuration"]),
             rho=float(data["rho"]),
             algorithm=str(data["algorithm"]),
-            payload=AllocationPayload.from_dict(payload) if payload is not None else None,
+            payload=AllocationPayload.from_dict(data["allocation"]),
         )
 
 
@@ -252,11 +251,25 @@ def plan_from_sweep(
 
     ``algorithms`` optionally restricts the campaign to a subset of the
     sweep's algorithms (e.g. skip re-simulating H0).  ``scenarios`` adds the
-    injection axis (default: the single baseline scenario).  Records carrying
-    an :class:`~repro.experiments.runner.AllocationPayload` are replayed
-    exactly; the rest are re-solved deterministically at execution time.
+    injection axis (default: the single baseline scenario).  Every validated
+    record must carry its :class:`~repro.experiments.runner.AllocationPayload`
+    (a sweep run with ``capture_allocations=True``); one without is refused.
     """
     keep = set(algorithms) if algorithms is not None else None
+    records = [r for r in sweep.records if keep is None or r.algorithm in keep]
+    if not records:
+        raise ConfigurationError(
+            "the sweep holds no records to validate"
+            + (f" for algorithms {sorted(keep)}" if keep is not None else "")
+        )
+    uncaptured = next((r for r in records if r.allocation is None), None)
+    if uncaptured is not None:
+        raise ConfigurationError(
+            f"sweep record (configuration {uncaptured.configuration}, rho "
+            f"{uncaptured.rho:g}, {uncaptured.algorithm}) carries no allocation to "
+            f"validate; re-run the sweep with capture_allocations=True "
+            f"(figure --capture-allocations)"
+        )
     sources = tuple(
         AllocationSource(
             configuration=record.configuration,
@@ -264,14 +277,8 @@ def plan_from_sweep(
             algorithm=record.algorithm,
             payload=record.allocation,
         )
-        for record in sweep.records
-        if keep is None or record.algorithm in keep
+        for record in records
     )
-    if not sources:
-        raise ConfigurationError(
-            "the sweep holds no records to validate"
-            + (f" for algorithms {sorted(keep)}" if keep is not None else "")
-        )
     return ValidationPlan(
         name=name if name is not None else f"validate-{sweep.plan.name}",
         sweep_plan=sweep.plan,
@@ -493,25 +500,15 @@ class ValidationUnit:
             scenario=int(data["scenario"]),
         )
 
-    def execute(
-        self,
-        plan: ValidationPlan,
-        *,
-        check: bool = False,
-        capture_allocations: bool = False,
-    ) -> list[ValidationRecord]:
+    def execute(self, plan: ValidationPlan) -> list[ValidationRecord]:
         """Simulate this unit's allocations (worker-process entry point).
 
         Each distinct allocation is simulated once: sources of one
-        (configuration, rho) whose resolved allocations match in everything
-        the simulator reads — the split, and the machine counts in their own
+        (configuration, rho) whose allocations match in everything the
+        simulator reads — the split, and the machine counts in their own
         order (instances are numbered in it) — share the first one's record
         with only ``algorithm`` changed.  The seed leaves the algorithm out,
         so that record is exactly what simulating each of them would give.
-
-        ``check``/``capture_allocations`` are accepted for signature
-        compatibility with the generic backend dispatch; neither applies to a
-        simulation replay.
         """
         context = _plan_context(plan)
         shared: dict[tuple, ValidationRecord] = {}
@@ -546,12 +543,11 @@ class _ExecutionContext:
     (whose initializer ships the plan once per worker), and an equal win for
     serial runs.  Everything cached here is a pure function of the plan:
     configurations regenerate from the sweep seeds, problems from the
-    configuration, allocations from the captured payload or the
-    deterministic re-solve — so reuse cannot change a single record byte.
+    configuration, allocations from the captured payload — so reuse cannot
+    change a single record byte.
     """
 
     def __init__(self, plan: ValidationPlan) -> None:
-        ensure_default_solvers()  # the re-solve fallback needs the registry
         self.plan = plan
         self._configurations: dict[int, Any] = {}
         self._problems: dict[tuple[int, float], Any] = {}
@@ -579,10 +575,7 @@ class _ExecutionContext:
     def allocation(self, source_index: int):
         allocation = self._allocations.get(source_index)
         if allocation is None:
-            source = self.plan.sources[source_index]
-            allocation = _resolve_allocation(
-                self.plan.sweep_plan, source, self.problem(source)
-            )
+            allocation = self.plan.sources[source_index].payload.to_allocation()
             self._allocations[source_index] = allocation
         return allocation
 
@@ -707,29 +700,6 @@ def _sorted_utilization(utilization: Mapping) -> tuple:
         return tuple(sorted(utilization.items()))
     except TypeError:
         return tuple(sorted(utilization.items(), key=lambda kv: str(kv[0])))
-
-
-def _resolve_allocation(sweep_plan: ExperimentPlan, source: AllocationSource, problem):
-    """The allocation a source stands for: its payload, or a deterministic re-solve."""
-    if source.payload is not None:
-        return source.payload.to_allocation()
-    spec = next(
-        (s for s in sweep_plan.algorithms if s.name == source.algorithm), None
-    )
-    if spec is None:
-        raise ConfigurationError(
-            f"source references algorithm {source.algorithm!r} which is not in the "
-            f"sweep plan (available: {[s.name for s in sweep_plan.algorithms]})"
-        )
-    # identical derivation to run_configuration, so the re-solved allocation is
-    # the one the sweep record was measured on
-    seed = derive_seed(
-        sweep_plan.base_seed,
-        source.configuration,
-        int(source.rho),
-        stable_text_digest(spec.name, bits=16),
-    )
-    return spec.build(seed=seed).solve(problem, check=False).allocation
 
 
 def plan_validation_units(
@@ -1041,59 +1011,24 @@ class ValidationStore(JsonlCheckpointStore):
 
 
 def load_campaign(path: str | Path, *, allow_partial: bool = False) -> CampaignResult:
-    """Load a campaign checkpoint, merging unit lines in canonical order.
+    """Load a campaign checkpoint: a single file or a shard directory.
 
-    ``path`` may be a single checkpoint file or a :class:`ShardedStore`
-    directory (``shard-*.jsonl`` files written by concurrent writers); shard
-    stores are merged under the plan fingerprint of the first shard —
-    first-shard-wins on duplicate units, a foreign-fingerprint shard refused
-    — and because reassembly is in canonical unit order either way, a merged
-    sharded campaign is byte-identical to a single-store one.
-
-    A checkpoint holding fewer units than its plan calls for (an
+    Reads through :func:`~repro.experiments.store.load_checkpoint`, so a
+    merged sharded campaign is byte-identical to a single-store one.  A
+    checkpoint holding fewer records than its plan calls for (an
     interrupted, never-resumed campaign) is refused unless ``allow_partial``.
     """
-    if not Path(path).exists():
-        raise ConfigurationError(f"{path} does not exist")
-    if Path(path).is_dir():
-        plan, completed = _load_campaign_shards(Path(path))
-    else:
-        plan, completed, _ = ValidationStore(path)._load_checkpoint(None)
-    result = CampaignResult(plan=plan)
-    for index in sorted(completed):
-        result.extend(completed[index])
+    plan, records = load_checkpoint(path, ValidationStore)
     # compare record counts, not unit counts: the unit count depends on the
     # chunk_size the checkpointing run used, the record count only on the plan
     expected = plan.num_simulations
-    if len(result.records) != expected and not allow_partial:
+    if len(records) != expected and not allow_partial:
         raise ConfigurationError(
-            f"{path} holds {len(result.records)} of the {expected} simulations its "
+            f"{path} holds {len(records)} of the {expected} simulations its "
             f"plan calls for (incomplete campaign); resume it, or pass "
             f"allow_partial=True to load it anyway"
         )
-    return result
-
-
-def _load_campaign_shards(root: Path) -> tuple[ValidationPlan, dict[int, list]]:
-    """Merge every ``shard-*.jsonl`` under ``root`` (first-shard-wins)."""
-    paths = shard_paths(root)
-    if not paths:
-        raise ConfigurationError(
-            f"{root} is a directory holding no shard checkpoints "
-            f"(shard-*.jsonl); not a sharded campaign store"
-        )
-    plan: ValidationPlan | None = None
-    completed: dict[int, list] = {}
-    for path in paths:
-        # passing the first shard's plan makes _load_checkpoint refuse any
-        # shard with a foreign fingerprint — one directory, one campaign
-        shard_plan, shard_completed, _ = ValidationStore(path)._load_checkpoint(plan)
-        if plan is None:
-            plan = shard_plan
-        for index, records in shard_completed.items():
-            completed.setdefault(index, records)
-    assert plan is not None
-    return plan, completed
+    return CampaignResult(plan=plan, records=records)
 
 
 # --------------------------------------------------------------------------- #
@@ -1133,10 +1068,10 @@ def _memo_cell_keys(plan: ValidationPlan, unit: ValidationUnit) -> list[str]:
     """The memo-cache fingerprints of a unit's grid cells, in record order.
 
     The source dict carries the captured allocation payload, so a cell solved
-    to a different allocation (or re-solved without capture) can never be
-    served another allocation's records; the scenario dict carries the full
-    injection spec, so a renamed-but-identical scenario still hits while any
-    parameter change misses.
+    to a different allocation can never be served another allocation's
+    records; the scenario dict carries the full injection spec, so a
+    renamed-but-identical scenario still hits while any parameter change
+    misses.
     """
     scenario = plan.scenarios[unit.scenario].as_dict()
     return [
@@ -1171,12 +1106,15 @@ def run_validation(
 ) -> CampaignResult:
     """Execute a validation campaign and collect every record.
 
-    The exact counterpart of :func:`~repro.experiments.runner.run_plan`: the
-    campaign is sharded into work units, streamed through an
+    The campaign counterpart of :func:`~repro.experiments.runner.run_plan`,
+    and like it an adapter over
+    :func:`~repro.experiments.backends.run_units`: the campaign is sharded
+    into work units, streamed through an
     :class:`~repro.experiments.backends.ExecutionBackend` (serial by default,
     pass a :class:`~repro.experiments.backends.ProcessPoolBackend` to
     parallelise), optionally checkpointed per unit into a
-    :class:`ValidationStore` and resumable with ``resume=True``.  Records are
+    :class:`ValidationStore` (or a :class:`ShardedStore`; a directory path
+    is a shard root) and resumable with ``resume=True``.  Records are
     reassembled in canonical unit order, so backend choice and completion
     order never change the result — the simulation itself is deterministic.
 
@@ -1189,82 +1127,19 @@ def run_validation(
     freshly computed cells are written back, and the result's ``memo_stats``
     reports hits/misses.
     """
-    if resume and store is None:
-        raise ConfigurationError("resume=True requires a store (the checkpoint to resume from)")
-    if isinstance(store, (str, Path)):
-        # a directory is a sharded store root; a file path a single store
-        if Path(store).is_dir():
-            store = ShardedStore(store, store_type=ValidationStore)
-        else:
-            store = ValidationStore(store)
-    if isinstance(memo, (str, Path)):
-        memo = ResultMemoStore(memo)
-    if backend is None:
-        backend = SerialBackend()
-    units = plan_validation_units(plan, chunk_size=chunk_size)
-    total = len(units)
-    completed: dict[int, list[ValidationRecord]] = {}
-    if store is not None:
-        completed = store.initialize(plan, resume=resume, units=units)
-        if completed and progress is not None:
-            progress(
-                f"[{plan.name}] resumed {len(completed)}/{total} work units from {store.path}"
-            )
-    pending = [unit for unit in units if unit.index not in completed]
-
-    memo_stats: "MemoStats | None" = None
-    unit_cell_keys: dict[int, list[str]] = {}
-    study_key = _memo_study_key(plan) if memo is not None else ""
-    if memo is not None and pending:
-        memo_stats = MemoStats()
-        still_pending: list = []
-        for unit in pending:
-            keys = _memo_cell_keys(plan, unit)
-            cached = [memo.lookup(study_key, key) for key in keys]
-            if keys and all(entry is not None for entry in cached):
-                records = [
-                    ValidationRecord.from_dict(entry[0]) for entry in cached
-                ]
-                memo_stats.hits += len(keys)
-                completed[unit.index] = records
-                if store is not None:
-                    store.append(unit, records)
-                if progress is not None:
-                    progress(
-                        f"[{plan.name}] work unit {len(completed)}/{total} served "
-                        f"from memo ({_unit_label(plan, unit)}, "
-                        f"{len(records)} simulations)"
-                    )
-            else:
-                memo_stats.misses += len(keys)
-                unit_cell_keys[unit.index] = keys
-                still_pending.append(unit)
-        pending = still_pending
-
-    for unit, records in backend.run(plan, pending, check=False):
-        completed[unit.index] = records
-        if store is not None:
-            store.append(unit, records)
-        if memo is not None:
-            keys = unit_cell_keys.get(unit.index)
-            if keys is not None and len(keys) == len(records):
-                for key, record in zip(keys, records):
-                    memo.put(study_key, key, [record.as_dict()])
-        if progress is not None:
-            progress(
-                f"[{plan.name}] work unit {len(completed)}/{total} done "
-                f"({_unit_label(plan, unit)}, "
-                f"{len(records)} simulations)"
-            )
-    missing = [unit.index for unit in units if unit.index not in completed]
-    if missing:
-        raise ConfigurationError(
-            f"backend returned no result for {len(missing)} work unit(s) "
-            f"(indices {missing[:10]}{'...' if len(missing) > 10 else ''}); "
-            f"a conforming backend must yield every unit or raise"
-        )
-    result = CampaignResult(plan=plan)
-    for unit in units:
-        result.extend(completed[unit.index])
-    result.memo_stats = memo_stats
-    return result
+    records, memo_stats = run_units(
+        plan,
+        plan_validation_units(plan, chunk_size=chunk_size),
+        backend=backend,
+        store=as_store(store, ValidationStore),
+        resume=resume,
+        progress=progress,
+        memo=memo,
+        study_key=_memo_study_key(plan),
+        cell_keys=lambda unit: _memo_cell_keys(plan, unit),
+        record_from_dict=ValidationRecord.from_dict,
+        label=lambda unit, records: (
+            f"{_unit_label(plan, unit)}, {len(records)} simulations"
+        ),
+    )
+    return CampaignResult(plan=plan, records=records, memo_stats=memo_stats)

@@ -221,11 +221,15 @@ def create_solver(name: str, **kwargs) -> Solver:
     ILP, ``iterations`` for the iterative heuristics, ``seed`` for the random
     ones) after validation against the entry's parameter schema: an option the
     factory does not accept raises a :class:`ConfigurationError` naming the
-    accepted ones.
+    accepted ones, and so does a value the factory rejects (its
+    ``ValueError``, e.g. ``iterations=0``).
     """
     entry = _entry(name)
     entry.validate_params(kwargs)
-    return entry.factory(**kwargs)
+    try:
+        return entry.factory(**kwargs)
+    except ValueError as exc:
+        raise ConfigurationError(f"solver {entry.display_name!r}: {exc}") from exc
 
 
 def create_solvers(names: Iterable[str], **common_kwargs) -> list[Solver]:

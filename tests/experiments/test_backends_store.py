@@ -1,5 +1,6 @@
 """Tests for the sweep orchestration layers: backends, checkpoint store, resume."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,6 @@ from repro.experiments.backends import (
     ProcessPoolBackend,
     SerialBackend,
     WorkUnit,
-    execute_work_unit,
     plan_work_units,
 )
 from repro.experiments.config import AlgorithmSpec, default_plan, plan_from_dict, plan_to_dict
@@ -30,6 +30,22 @@ def small_plan(num_configurations=2, throughputs=(50, 100), algorithms=("ILP", "
 def record_key(record: RunRecord) -> tuple:
     """Everything except wall-clock time, which differs between any two runs."""
     return record.identity()
+
+
+def _insert_row(line: str):
+    """A checkpoint mutation: ``line`` becomes the file's second row."""
+    return lambda lines: lines.insert(1, line)
+
+
+def _edit_header(edit):
+    """A checkpoint mutation: ``edit`` applied to the parsed header row."""
+
+    def mutate(lines):
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = json.dumps(header)
+
+    return mutate
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +79,7 @@ class TestWorkUnits:
     def test_execute_work_unit_matches_run_plan_slice(self, serial_result):
         plan = small_plan()
         unit = plan_work_units(plan)[1]
-        records = execute_work_unit(plan, unit)
+        records = unit.execute(plan)
         expected = [r for r in serial_result.records if r.configuration == 1]
         assert [record_key(r) for r in records] == [record_key(r) for r in expected]
 
@@ -83,9 +99,9 @@ class TestProcessPoolBackend:
 
     def test_backend_dropping_units_is_reported(self):
         class LossyBackend:
-            def run(self, plan, units, *, check=False):
+            def run(self, plan, units, **options):
                 for unit in units[:-1]:  # silently loses the last unit
-                    yield unit, execute_work_unit(plan, unit, check=check)
+                    yield unit, unit.execute(plan, **options)
 
         with pytest.raises(ConfigurationError, match="no result for 1 work unit"):
             run_plan(small_plan(num_configurations=2), backend=LossyBackend())
@@ -128,14 +144,6 @@ class TestStore:
             record_key(r) for r in serial_result.records
         ]
         assert plan_fingerprint(loaded.plan) == plan_fingerprint(serial_result.plan)
-
-    def test_save_load_round_trip(self, tmp_path, serial_result):
-        path = tmp_path / "result.jsonl"
-        serial_result.save(path)
-        loaded = SweepResult.load(path)
-        assert [r.as_dict() for r in loaded.records] == [
-            r.as_dict() for r in serial_result.records
-        ]
 
     def test_resume_with_mismatched_plan_refused(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -246,42 +254,52 @@ class TestStore:
         with pytest.raises(ConfigurationError, match="requires a store"):
             run_plan(small_plan(), resume=True)
 
-    def test_torn_result_file_fails_to_load(self, tmp_path, serial_result):
-        # a save that never completed must not silently load fewer records
-        path = tmp_path / "result.jsonl"
-        serial_result.save(path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-10])  # chop mid-record
-        with pytest.raises(ConfigurationError, match="did not complete"):
-            SweepResult.load(path)
-
     @pytest.mark.parametrize(
-        "line",
+        "mutate, number",
         [
-            pytest.param("123", id="non-object"),  # valid JSON, not an object
+            pytest.param(_insert_row("123"), 2, id="non-object"),  # valid JSON, not an object
             # a unit row of the retired span-of-cells shape
             pytest.param(
-                '{"kind": "unit", "unit": {"index": 0, "cells": [0, 4]}, "records": []}',
+                _insert_row(
+                    '{"kind": "unit", "unit": {"index": 0, "cells": [0, 4]}, "records": []}'
+                ),
+                2,
                 id="chunk-shaped",
             ),
             pytest.param(
-                '{"kind": "unit", "unit": {"index": 0, "configuration": 0, '
-                '"throughputs": [50.0]}}',
+                _insert_row(
+                    '{"kind": "unit", "unit": {"index": 0, "configuration": 0, '
+                    '"throughputs": [50.0]}}'
+                ),
+                2,
                 id="missing-key",
+            ),
+            pytest.param(
+                _edit_header(lambda header: header["plan"]["algorithms"][0].pop("name")),
+                1,
+                id="header-algorithm-without-name",
+            ),
+            pytest.param(
+                _edit_header(lambda header: header.pop("plan")), 1, id="header-without-plan"
+            ),
+            pytest.param(
+                _edit_header(lambda header: header.pop("fingerprint")),
+                1,
+                id="header-without-fingerprint",
             ),
         ],
     )
-    def test_malformed_line_reports_location(self, tmp_path, line):
+    def test_malformed_line_reports_location(self, tmp_path, mutate, number):
         path = tmp_path / "sweep.jsonl"
         run_plan(small_plan(), store=SweepStore(path))
         lines = path.read_text().splitlines()
-        lines.insert(1, line)
+        mutate(lines)
         path.write_text("\n".join(lines) + "\n")
         for load in (
             lambda: load_sweep_result(path),
             lambda: run_plan(small_plan(), store=SweepStore(path), resume=True),
         ):
-            with pytest.raises(ConfigurationError, match="line 2") as error:
+            with pytest.raises(ConfigurationError, match=f"line {number} ") as error:
                 load()
             assert "\n" not in str(error.value)
 
@@ -310,16 +328,25 @@ class TestStore:
         result = run_plan(small_plan(), store=SweepStore(path))
         assert len(result.records) > 0
 
-    def test_resume_against_a_saved_result_file_is_refused(self, tmp_path, serial_result):
-        # a save()d result is loadable but not resumable: resuming it would
-        # re-run everything and append duplicate records
+    def test_record_row_file_is_refused(self, tmp_path, serial_result):
+        # the retired saved-result format (a header, then one "record" row per
+        # record) is neither loaded, resumed nor overwritten
         path = tmp_path / "result.jsonl"
-        serial_result.save(path)
-        with pytest.raises(ConfigurationError, match="not a resumable checkpoint"):
-            run_plan(small_plan(), store=SweepStore(path), resume=True)
+        rows = [SweepStore(path)._header(serial_result.plan)] + [
+            {"kind": "record", **record.as_dict()} for record in serial_result.records
+        ]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        content = path.read_text()
+        for load in (
+            lambda: SweepResult.load(path),
+            lambda: run_plan(small_plan(), store=SweepStore(path), resume=True),
+        ):
+            with pytest.raises(ConfigurationError, match="line 2 is not a unit row") as error:
+                load()
+            assert "\n" not in str(error.value)
         with pytest.raises(ConfigurationError, match="already holds sweep data"):
-            run_plan(small_plan(), store=SweepStore(path))  # and never overwritten
-        assert len(SweepResult.load(path).records) == len(serial_result.records)
+            run_plan(small_plan(), store=SweepStore(path))
+        assert path.read_text() == content
 
     def test_resume_with_different_chunking_refused(self, tmp_path):
         plan = small_plan(num_configurations=3)

@@ -212,25 +212,49 @@ class TestCampaignExecution:
         assert record_lines(resumed) == record_lines(serial_campaign)
         assert record_lines(load_campaign(path)) == record_lines(serial_campaign)
 
-    def test_payload_free_sources_are_re_solved(self, campaign_plan, serial_campaign):
-        # deterministic algorithms (ILP, H1) re-solve to the same allocation,
-        # so a campaign without payloads replays the same simulations
-        stripped = replace(
-            campaign_plan,
-            sources=tuple(replace(s, payload=None) for s in campaign_plan.sources),
+    def test_uncaptured_sweep_is_refused(self, captured_sweep):
+        # a record without its allocation is refused, never re-solved: a
+        # re-solve may not return the allocation the sweep priced
+        plain = run_plan(small_plan(num_configurations=1, throughputs=(50,)))
+        with pytest.raises(ConfigurationError, match="capture_allocations") as error:
+            plan_from_sweep(plain)
+        message = str(error.value)
+        assert "configuration 0, rho 50, ILP" in message
+        assert "\n" not in message
+        # one uncaptured record among captured ones is enough
+        mixed = SweepResult(
+            plan=captured_sweep.plan,
+            records=captured_sweep.records[:-1]
+            + [replace(captured_sweep.records[-1], allocation=None)],
         )
-        re_solved = run_validation(stripped)
-        assert record_lines(re_solved) == record_lines(serial_campaign)
+        with pytest.raises(ConfigurationError, match="carries no allocation"):
+            plan_from_sweep(mixed)
+        # unless the algorithm filter leaves it out
+        last = captured_sweep.records[-1].algorithm
+        keep = tuple({r.algorithm for r in captured_sweep.records} - {last})
+        assert plan_from_sweep(mixed, algorithms=keep).sources
 
-    def test_unknown_algorithm_in_source_rejected(self, campaign_plan):
-        bad = replace(
-            campaign_plan,
-            sources=(
-                replace(campaign_plan.sources[0], algorithm="H99", payload=None),
-            ),
-        )
-        with pytest.raises(ConfigurationError, match="H99"):
-            run_validation(bad)
+    def test_validate_refuses_uncaptured_sweep_file(self, tmp_path, capsys):
+        from repro.cli import main
+
+        sweep_file = tmp_path / "sweep.jsonl"
+        assert main(
+            ["figure", "figure3", "--configurations", "1", "--throughputs", "60",
+             "--iterations", "60", "--out", str(sweep_file), "--quiet"]
+        ) == 0
+        capsys.readouterr()
+        campaign_file = tmp_path / "campaign.jsonl"
+        assert main(
+            ["validate", str(sweep_file), "--horizons", "6", "--out",
+             str(campaign_file), "--quiet"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert "--capture-allocations" in captured.err
+        assert "Traceback" not in captured.err
+        assert not campaign_file.exists()
 
     def test_resume_without_store_rejected(self, campaign_plan):
         with pytest.raises(ConfigurationError, match="requires a store"):
@@ -503,30 +527,44 @@ class TestValidationStore:
         assert record_lines(load_campaign(path))
 
     @pytest.mark.parametrize(
-        "mutate",
+        "line, mutate",
         [
             # the unit line a chunked campaign wrote before chunks were retired
             pytest.param(
+                2,
                 lambda row: {**row, "unit": {"index": 0, "cells": [0, 4]}},
                 id="chunk-shaped",
             ),
             pytest.param(
+                2,
                 lambda row: {k: v for k, v in row.items() if k != "records"},
                 id="missing-key",
             ),
+            pytest.param(
+                1,
+                lambda row: {k: v for k, v in row.items() if k != "plan"},
+                id="header-without-plan",
+            ),
+            pytest.param(
+                1,
+                lambda row: {k: v for k, v in row.items() if k != "fingerprint"},
+                id="header-without-fingerprint",
+            ),
         ],
     )
-    def test_malformed_unit_line_reports_location(self, tmp_path, campaign_plan, mutate):
+    def test_malformed_unit_line_reports_location(
+        self, tmp_path, campaign_plan, line, mutate
+    ):
         path = tmp_path / "campaign.jsonl"
         run_validation(campaign_plan, store=ValidationStore(path))
         lines = path.read_text().splitlines()
-        lines[1] = json.dumps(mutate(json.loads(lines[1])))
+        lines[line - 1] = json.dumps(mutate(json.loads(lines[line - 1])))
         path.write_text("\n".join(lines) + "\n")
         for load in (
             lambda: load_campaign(path),
             lambda: run_validation(campaign_plan, store=ValidationStore(path), resume=True),
         ):
-            with pytest.raises(ConfigurationError, match="line 2") as error:
+            with pytest.raises(ConfigurationError, match=f"line {line} ") as error:
                 load()
             assert "\n" not in str(error.value)
 

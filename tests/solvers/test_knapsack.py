@@ -1,5 +1,7 @@
 """Tests for the Section V-A unbounded-knapsack dynamic program."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,20 +59,17 @@ class TestCoveringKnapsack:
         rates, costs = rates[:size], costs[:size]
         dp_cost, dp_counts = solve_covering_knapsack(rates, costs, demand)
         assert np.dot(dp_counts, rates) >= demand
-        # brute force over small count vectors
+        # brute force over every count vector an optimum can take: with
+        # positive costs it never holds more than ceil(demand / rate) of a
+        # type, and with the other counts fixed the last type's cheapest count
+        # is the fewest that cover the rest (at most 81^3 vectors, not 82^4)
         best = None
-        max_count = demand // min(rates) + 1 if demand else 0
-        def recurse(idx, counts):
-            nonlocal best
-            if idx == size:
-                if np.dot(counts, rates) >= demand:
-                    value = float(np.dot(counts, costs))
-                    if best is None or value < best:
-                        best = value
-                return
-            for c in range(max_count + 1):
-                recurse(idx + 1, counts + [c])
-        recurse(0, [])
+        for head in itertools.product(*(range(-(-demand // r) + 1) for r in rates[:-1])):
+            rest = demand - sum(c * r for c, r in zip(head, rates))
+            last = max(0, -(-rest // rates[-1]))
+            value = float(sum(c * k for c, k in zip(head, costs)) + last * costs[-1])
+            if best is None or value < best:
+                best = value
         assert best is not None
         assert dp_cost == pytest.approx(best)
 

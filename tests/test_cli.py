@@ -296,6 +296,46 @@ class TestCommands:
         code = main(["validate", str(tmp_path / "typo.jsonl"), "--quiet"])
         assert code == 2
 
+    def test_validate_rejects_malformed_sweep_header(self, capsys, tmp_path):
+        import json
+
+        sweep_file = tmp_path / "sweep.jsonl"
+        assert main(_tiny_figure_args(sweep_file)) == 0
+        capsys.readouterr()
+        lines = sweep_file.read_text().splitlines()
+        header = json.loads(lines[0])
+        del header["plan"]["algorithms"][0]["name"]
+        lines[0] = json.dumps(header)
+        sweep_file.write_text("\n".join(lines) + "\n")
+        assert main(["validate", str(sweep_file), "--horizons", "6", "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "line 1 " in err and "'name'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["solve", "--rho", "0"], id="solve-rho-0"),
+            pytest.param(["solve", "--algorithm", "NOPE"], id="solve-unknown-algorithm"),
+            pytest.param(["solve", "--setting", "huge"], id="solve-unknown-setting"),
+            pytest.param(["table3", "--iterations", "0"], id="table3-iterations-0"),
+            pytest.param(
+                ["figure", "figure3", "--configurations", "1", "--iterations", "0"],
+                id="figure-iterations-0",
+            ),
+            pytest.param(
+                ["figure", "figure3", "--configurations", "1", "--throughputs", "0"],
+                id="figure-throughput-0",
+            ),
+        ],
+    )
+    def test_bad_input_is_one_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.endswith("\n") and err.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in err
+
 
 def _tiny_figure_args(sweep_file):
     return ["figure", "figure3", "--configurations", "1", "--throughputs", "60",
