@@ -7,10 +7,11 @@ wall-clock into ``BENCH_scenarios.json``:
 
 * **serial** — :class:`SerialBackend`;
 * **parallel** — :class:`ProcessPoolBackend` with ``--workers`` processes
-  (one work unit per configuration and grid point), asserting the record
-  lines are **byte-identical** to the serial run (every stochastic draw comes
-  from a seed derived per (source, scenario) with ``stable_text_digest``, so
-  worker count must not change a single byte).  The first pool of a process
+  (one work unit per configuration, multiplier and scenario, covering every
+  horizon), asserting the record lines are **byte-identical** to the serial
+  run (every stochastic draw comes from a seed derived per (source,
+  scenario) with ``stable_text_digest``, so worker count must not change a
+  single byte).  The first pool of a process
   also starts the forkserver, so a pool run over the campaign's first work
   unit goes before it and is reported on its own as
   ``pool_spinup_seconds``; ``parallel_seconds`` and ``speedup`` are measured

@@ -51,13 +51,14 @@ class AlgorithmSpec:
         return create_solver(self.name, **params)
 
     def validate(self) -> None:
-        """Fail fast on unknown algorithms or misspelled construction options.
+        """Fail fast on unknown algorithms, misspelled options or bad values.
 
         Checks the spec against the registry's typed parameter schema —
         including that a ``seed_sensitive`` algorithm actually accepts a
-        ``seed`` — without instantiating the solver.  :meth:`build` performs
-        the same parameter validation at construction time; this method lets
-        the declarative study layer reject a bad spec before any work runs.
+        ``seed`` — then constructs the solver once through :meth:`build`:
+        constructors only validate (``iterations=0``, a negative
+        ``time_limit``), so a value the sweep would refuse is refused here,
+        before any work runs, by the declarative study layer.
         """
         from ..solvers.registry import solver_entry
 
@@ -68,6 +69,7 @@ class AlgorithmSpec:
                 f"algorithm {self.name!r} is marked seed_sensitive but solver "
                 f"{entry.display_name!r} does not accept a 'seed' parameter"
             )
+        self.build()
 
 
 def paper_algorithms(

@@ -14,11 +14,14 @@ Keys are content fingerprints, never labels:
   base seed and the full algorithm line-up (plus the ``check`` and
   ``capture_allocations`` execution switches, which change record content);
   for a validation campaign, the sweep plan it replays plus the warm-up
-  fraction, data-set cap, screen tier and campaign checkpoint format (so
-  cells cached under an older seeding miss).  Plan *names* and grid extents
+  fraction, data-set cap, screen tier and record format (so cells cached
+  under an older seeding miss).  Plan *names* and grid extents
   (``num_configurations``, ``target_throughputs``, horizons, multipliers)
   are deliberately excluded: they are labels or outer-loop bounds, so a
-  bigger sweep reuses the cells of a smaller one.
+  bigger sweep reuses the cells of a smaller one.  A campaign unit spans
+  every horizon and is served only when all its cells hit, so adding a
+  horizon to a memoised campaign recomputes whole units, each simulated to
+  the longest horizon even when the added one is shorter.
 * the **cell key** hashes the one grid cell: ``(configuration index, rho)``
   for a sweep cell, ``(source, horizon, rate multiplier, scenario)`` for a
   validation cell — with the source's captured allocation payload included,

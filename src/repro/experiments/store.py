@@ -7,7 +7,7 @@ File format (one JSON object per line):
   serialisation.  Resuming against a file whose fingerprint does not match
   the current plan is refused — a checkpoint is only valid for the exact
   sweep that produced it.  ``version`` is the store's format
-  (:attr:`JsonlCheckpointStore.store_version`): 1 for sweeps, 2 for
+  (:attr:`JsonlCheckpointStore.store_version`): 1 for sweeps, 3 for
   validation campaigns; a file in any other format is refused.
 * every later line — a unit row ``{"kind": "unit", "unit": {...},
   "records": [...]}``: one completed work unit.  Any other row is refused
@@ -81,12 +81,14 @@ class JsonlCheckpointStore:
     ``data_description`` labels the file kind in error messages;
     ``store_marker`` is written to (and required of) the header's ``"store"``
     field — the original sweep format predates the field and leaves it unset;
-    ``store_version`` is written to (and required of) its ``"version"``.
+    ``store_version`` is written to (and required of) its ``"version"``;
+    ``rerun_note`` ends the refusal of an older format.
     """
 
     data_description = "sweep"
     store_marker: str | None = None
     store_version = 1
+    rerun_note = ""
     run_noun = "sweep"        # "start a fresh <run_noun>" in resume errors
     plan_noun = "plan"        # "written by a different <plan_noun>"
 
@@ -163,8 +165,9 @@ class JsonlCheckpointStore:
         header["plan"] = self._plan_to_dict(plan)
         return header
 
-    def _check_sharding(self, stored_units: dict[int, dict], units: list) -> None:
-        for index, stored in stored_units.items():
+    def _check_sharding(self, stored_units: dict, units: list) -> None:
+        for index, unit in stored_units.items():
+            stored = unit.as_dict()
             current = units[index].as_dict() if 0 <= index < len(units) else None
             if current != stored:
                 raise ConfigurationError(
@@ -174,7 +177,7 @@ class JsonlCheckpointStore:
                 )
 
     def _load_checkpoint(self, plan) -> tuple:
-        """Parse the checkpoint: (stored plan, records per unit, unit dicts)."""
+        """Parse the checkpoint: (stored plan, records per unit, units per index)."""
         rows = read_jsonl(self.path, ignore_truncated=True)
         if not rows:
             raise ConfigurationError(
@@ -193,7 +196,7 @@ class JsonlCheckpointStore:
                 f"{self._fingerprint(plan)[:12]}...); refusing to resume"
             )
         completed: dict[int, list] = {}
-        stored_units: dict[int, dict] = {}
+        stored_units: dict = {}
         for number, row in enumerate(rows[1:], start=2):
             if not isinstance(row, Mapping) or row.get("kind") != "unit":
                 raise ConfigurationError(
@@ -207,7 +210,7 @@ class JsonlCheckpointStore:
             except _MALFORMED_ROW as exc:
                 raise _malformed_row(self.path, number, exc) from None
             completed[unit.index] = records
-            stored_units[unit.index] = unit.as_dict()
+            stored_units[unit.index] = unit
         return stored_plan, completed, stored_units
 
     # ------------------------------------------------------------------ #
@@ -229,7 +232,7 @@ class JsonlCheckpointStore:
                 raise ConfigurationError(
                     f"{self.path} predates {self.data_description} checkpoint format "
                     f"{self.store_version} (it has format {version}); re-run the "
-                    f"{self.run_noun} into a fresh checkpoint"
+                    f"{self.run_noun} into a fresh checkpoint{self.rerun_note}"
                 )
             raise ConfigurationError(
                 f"{self.path} has store version {version!r}, expected {self.store_version}"
@@ -479,14 +482,15 @@ def as_store(store, store_type: type[JsonlCheckpointStore]):
 
 
 def load_checkpoint(path: str | Path, store_type: type[JsonlCheckpointStore]) -> tuple:
-    """Read a checkpoint: ``(plan, records in canonical unit order)``.
+    """Read a checkpoint: ``(plan, units, records)``, both in canonical unit order.
 
     ``path`` is a single ``store_type`` file or a :class:`ShardedStore`
     directory of ``shard-*.jsonl`` files.  Shards are merged under the plan
     fingerprint of the first one — first shard wins on a duplicate unit, a
-    shard with a foreign fingerprint is refused — and records are reassembled
-    in canonical unit order, so a sharded checkpoint reads byte-identically to
-    a single-file one.  Completeness is the caller's check.
+    shard with a foreign fingerprint is refused — and the completed units and
+    their concatenated records come back in canonical unit order, so a
+    sharded checkpoint reads byte-identically to a single-file one.
+    Completeness is the caller's check.
     """
     path = Path(path)
     if not path.exists():
@@ -499,15 +503,21 @@ def load_checkpoint(path: str | Path, store_type: type[JsonlCheckpointStore]) ->
         )
     plan = None
     completed: dict[int, list] = {}
+    units: dict = {}
     for shard in paths:
         # passing the first shard's plan makes _load_checkpoint refuse any
         # shard with a foreign fingerprint — one directory, one run
-        shard_plan, shard_completed, _ = store_type(shard)._load_checkpoint(plan)
+        shard_plan, shard_completed, shard_units = store_type(shard)._load_checkpoint(plan)
         if plan is None:
             plan = shard_plan
         for index, records in shard_completed.items():
-            completed.setdefault(index, records)
-    return plan, [record for index in sorted(completed) for record in completed[index]]
+            if index not in completed:
+                completed[index] = records
+                units[index] = shard_units[index]
+    order = sorted(completed)
+    return plan, [units[index] for index in order], [
+        record for index in order for record in completed[index]
+    ]
 
 
 def load_sweep_result(path: str | Path, *, allow_partial: bool = False) -> SweepResult:
@@ -518,7 +528,7 @@ def load_sweep_result(path: str | Path, *, allow_partial: bool = False) -> Sweep
     figure aggregations over silently incomplete sweeps produce misleading
     curves.
     """
-    plan, records = load_checkpoint(path, SweepStore)
+    plan, _, records = load_checkpoint(path, SweepStore)
     if len(records) != plan.num_records and not allow_partial:
         raise ConfigurationError(
             f"{path} holds {len(records)} of the {plan.num_records} records its plan "

@@ -44,7 +44,12 @@ byte-identical record lines; ``benchmarks/bench_validation.py`` and
 ``benchmarks/bench_scenarios.py`` assert this.  The seed leaves the algorithm
 out (common random numbers), so every algorithm at a grid point faces the
 same arrivals and failures, and a work unit simulates each distinct
-allocation once however many algorithms returned it.
+allocation once however many algorithms returned it.  The seed leaves the
+horizon out too, so a unit covers every horizon of its (multiplier,
+scenario, configuration) group and simulates each allocation once, to the
+longest horizon, reading the shorter ones off the same run.  Records still
+come out in the canonical order (horizon, multiplier, scenario,
+configuration, source), whatever the unit shape.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -134,6 +140,12 @@ class AllocationSource:
 #: (baseline) scenario, the paper's deterministic replay.
 _DEFAULT_SCENARIOS: tuple[ScenarioSpec, ...] = (DEFAULT_SCENARIO,)
 
+#: The format of a campaign record: format 2 is the common-random-number
+#: seeding with every field written.  The memo's study key carries it, so a
+#: record format change never serves old cells; the checkpoint format
+#: (``ValidationStore.store_version``) may move without it.
+_RECORD_FORMAT = 2
+
 
 def scenario_seed(base_seed: int, source: AllocationSource, scenario: ScenarioSpec) -> int:
     """The simulation seed of one (allocation source, scenario) cell.
@@ -147,7 +159,9 @@ def scenario_seed(base_seed: int, source: AllocationSource, scenario: ScenarioSp
     comparisons are paired, and sources sharing an allocation share one
     simulation.  Horizon and rate multiplier are deliberately not folded in
     either: all simulations of one cell share the arrival-sequence prefix, so
-    a longer horizon extends a shorter one instead of reshuffling it.
+    a longer horizon extends a shorter one instead of reshuffling it — which
+    is what lets a unit run each cell once, to its longest horizon, and read
+    every shorter horizon off that run.
     """
     return derive_seed(
         base_seed,
@@ -454,20 +468,21 @@ class ValidationRecord:
 
 @dataclass(frozen=True, slots=True)
 class ValidationUnit:
-    """One campaign work unit: sources at one (horizon, multiplier, scenario).
+    """One campaign work unit: sources at every horizon of one (multiplier, scenario).
 
     The sources all belong to one sweep configuration — all of them by
     default, at most ``chunk_size`` of them when
     :func:`plan_validation_units` is given one; this is the campaign's only
-    unit shape.  Like the sweep's
-    :class:`~repro.experiments.backends.WorkUnit` it carries indices only;
-    the executing side looks the sources and the scenario up in the
-    (pickled) plan and regenerates each source's configuration from the
-    sweep seeds.  ``scenario`` indexes ``plan.scenarios``.
+    unit shape.  Every unit covers all of ``plan.horizons``, in listed order
+    (duplicates and unsorted lists kept), and its records are horizon-major:
+    every source at the first horizon, then every source at the next.  Like
+    the sweep's :class:`~repro.experiments.backends.WorkUnit` it carries
+    indices only; the executing side looks the sources and the scenario up
+    in the (pickled) plan and regenerates each source's configuration from
+    the sweep seeds.  ``scenario`` indexes ``plan.scenarios``.
     """
 
     index: int
-    horizon: float
     rate_multiplier: float
     sources: tuple[int, ...]
     scenario: int = 0
@@ -478,13 +493,12 @@ class ValidationUnit:
         # instance); units cross process boundaries constantly, so be exact
         return (
             self.__class__,
-            (self.index, self.horizon, self.rate_multiplier, self.sources, self.scenario),
+            (self.index, self.rate_multiplier, self.sources, self.scenario),
         )
 
     def as_dict(self) -> dict:
         return {
             "index": self.index,
-            "horizon": self.horizon,
             "rate_multiplier": self.rate_multiplier,
             "sources": list(self.sources),
             "scenario": self.scenario,
@@ -494,7 +508,6 @@ class ValidationUnit:
     def from_dict(cls, data: Mapping) -> "ValidationUnit":
         return cls(
             index=int(data["index"]),
-            horizon=float(data["horizon"]),
             rate_multiplier=float(data["rate_multiplier"]),
             sources=tuple(int(s) for s in data["sources"]),
             scenario=int(data["scenario"]),
@@ -503,16 +516,16 @@ class ValidationUnit:
     def execute(self, plan: ValidationPlan) -> list[ValidationRecord]:
         """Simulate this unit's allocations (worker-process entry point).
 
-        Each distinct allocation is simulated once: sources of one
-        (configuration, rho) whose allocations match in everything the
+        Each distinct allocation is simulated once, for all horizons: sources
+        of one (configuration, rho) whose allocations match in everything the
         simulator reads — the split, and the machine counts in their own
-        order (instances are numbered in it) — share the first one's record
+        order (instances are numbered in it) — share the first one's records
         with only ``algorithm`` changed.  The seed leaves the algorithm out,
-        so that record is exactly what simulating each of them would give.
+        so those records are exactly what simulating each of them would give.
         """
         context = _plan_context(plan)
-        shared: dict[tuple, ValidationRecord] = {}
-        records = []
+        shared: dict[tuple, list[ValidationRecord]] = {}
+        columns: list[list[ValidationRecord]] = []  # per source, one record per horizon
         for source_index in self.sources:
             source = plan.sources[source_index]
             allocation = context.allocation(source_index)
@@ -522,16 +535,15 @@ class ValidationUnit:
                 tuple(allocation.split.values),
                 tuple(allocation.machines.items()),
             )
-            record = shared.get(key)
-            if record is None:
-                record = shared[key] = _simulate_cell(
-                    plan, context, self.horizon, self.rate_multiplier,
-                    self.scenario, source_index,
+            column = shared.get(key)
+            if column is None:
+                column = shared[key] = _simulate_cell(
+                    plan, context, self.rate_multiplier, self.scenario, source_index
                 )
             else:
-                record = replace(record, algorithm=source.algorithm)
-            records.append(record)
-        return records
+                column = [replace(record, algorithm=source.algorithm) for record in column]
+            columns.append(column)
+        return [record for row in zip(*columns) for record in row]  # horizon-major
 
 
 class _ExecutionContext:
@@ -599,41 +611,68 @@ def _plan_context(plan: ValidationPlan) -> _ExecutionContext:
 def _simulate_cell(
     plan: ValidationPlan,
     context: _ExecutionContext,
-    horizon: float,
     rate_multiplier: float,
     scenario_index: int,
     source_index: int,
-) -> ValidationRecord:
-    """Run one grid cell of a :class:`ValidationUnit`.
+) -> list[ValidationRecord]:
+    """Run one source of a :class:`ValidationUnit`: one record per horizon.
 
-    The simulation seed depends only on (configuration, rho, scenario), so
-    how sources are grouped into units (``chunk_size``) can never change a
-    record.
+    With the fluid screen each horizon is screened on its own.  The horizons
+    left for the DES cost one simulation, run to the longest of them, and
+    each is read off that run (:meth:`StreamSimulator.run`'s ``prefixes``),
+    equal to an independent run to it.  The simulation seed depends
+    only on (configuration, rho, scenario), so how sources are grouped into
+    units (``chunk_size``) can never change a record.
     """
     source = plan.sources[source_index]
     scenario = plan.scenarios[scenario_index]
     problem = context.problem(source)
     allocation = context.allocation(source_index)
     arrival_rate = source.rho * rate_multiplier
+    horizons = [float(horizon) for horizon in plan.horizons]
+    distinct = dict.fromkeys(horizons)  # listed order, each horizon once
+    records: dict[float, ValidationRecord] = {}
     if plan.screen == "fluid":
-        estimate = fluid_estimate(
+        for horizon in distinct:
+            estimate = fluid_estimate(
+                problem,
+                allocation,
+                arrival_rate=arrival_rate,
+                horizon=horizon,
+                scenario=scenario,
+            )
+            if not estimate.flagged(plan.screen_threshold):
+                records[horizon] = _fluid_record(
+                    source, horizon, rate_multiplier, scenario, estimate
+                )
+    flagged = [horizon for horizon in distinct if horizon not in records]
+    if flagged:
+        simulator = StreamSimulator(
             problem,
             allocation,
             arrival_rate=arrival_rate,
-            horizon=horizon,
+            warmup_fraction=plan.warmup_fraction,
             scenario=scenario,
+            seed=scenario_seed(plan.sweep_plan.base_seed, source, scenario),
         )
-        if not estimate.flagged(plan.screen_threshold):
-            return _fluid_record(source, horizon, rate_multiplier, scenario, estimate)
-    simulator = StreamSimulator(
-        problem,
-        allocation,
-        arrival_rate=arrival_rate,
-        warmup_fraction=plan.warmup_fraction,
-        scenario=scenario,
-        seed=scenario_seed(plan.sweep_plan.base_seed, source, scenario),
-    )
-    report = simulator.run(horizon=horizon, max_datasets=plan.max_datasets)
+        report = simulator.run(
+            horizon=max(flagged), max_datasets=plan.max_datasets, prefixes=flagged
+        )
+        for horizon, snapshot in report.metadata["prefixes"].items():
+            records[horizon] = _des_record(
+                source, horizon, rate_multiplier, scenario, snapshot
+            )
+    return [records[horizon] for horizon in horizons]
+
+
+def _des_record(
+    source: AllocationSource,
+    horizon: float,
+    rate_multiplier: float,
+    scenario: ScenarioSpec,
+    report,
+) -> ValidationRecord:
+    """The record of a cell the exact DES measured."""
     return ValidationRecord(
         configuration=source.configuration,
         rho=source.rho,
@@ -707,27 +746,48 @@ def plan_validation_units(
 ) -> list[ValidationUnit]:
     """Shard a campaign into its canonical list of work units.
 
-    One :class:`ValidationUnit` per (horizon, multiplier, scenario,
-    configuration) group; ``chunk_size`` optionally bounds the number of
-    sources per unit.  The scenario loop sits innermost of the grid axes.
+    One :class:`ValidationUnit` per (multiplier, scenario, configuration)
+    group, covering every horizon of the plan: a source is simulated once,
+    to the longest horizon, and the shorter ones are read off the same run.
+    ``chunk_size`` optionally bounds the number of sources per unit.  The
+    scenario loop sits innermost of the grid axes.
     """
     if chunk_size is not None and chunk_size <= 0:
         raise ConfigurationError(f"chunk_size must be positive, got {chunk_size}")
     units: list[ValidationUnit] = []
-    for horizon in plan.horizons:
-        for multiplier in plan.rate_multipliers:
-            for scenario_index in range(len(plan.scenarios)):
-                for chunk in _source_chunks(plan, chunk_size):
-                    units.append(
-                        ValidationUnit(
-                            index=len(units),
-                            horizon=float(horizon),
-                            rate_multiplier=float(multiplier),
-                            sources=chunk,
-                            scenario=scenario_index,
-                        )
+    for multiplier in plan.rate_multipliers:
+        for scenario_index in range(len(plan.scenarios)):
+            for chunk in _source_chunks(plan, chunk_size):
+                units.append(
+                    ValidationUnit(
+                        index=len(units),
+                        rate_multiplier=float(multiplier),
+                        sources=chunk,
+                        scenario=scenario_index,
                     )
+                )
     return units
+
+
+def _canonical_records(
+    plan: ValidationPlan,
+    units: Sequence[ValidationUnit],
+    records: Iterable[ValidationRecord],
+) -> list[ValidationRecord]:
+    """The records of ``units`` in the campaign's canonical order.
+
+    ``records`` holds each unit's records in unit order, each unit's
+    horizon-major.  The canonical order — horizon, multiplier, scenario,
+    configuration, source — takes every unit's block at the first horizon,
+    then every unit's block at the next.  :func:`run_validation` and
+    :func:`load_campaign` both reassemble through here.
+    """
+    blocks: list[list[ValidationRecord]] = [[] for _ in plan.horizons]
+    remaining = iter(records)
+    for unit in units:
+        for block in blocks:
+            block.extend(islice(remaining, len(unit.sources)))
+    return [record for block in blocks for record in block]
 
 
 def _source_chunks(plan: ValidationPlan, chunk_size: int | None) -> list[tuple[int, ...]]:
@@ -992,14 +1052,20 @@ class ValidationStore(JsonlCheckpointStore):
     :class:`~repro.experiments.store.JsonlCheckpointStore`; this class only
     binds the campaign's plan/unit/record types to the base hooks.  The
     header carries ``"store": "validation"`` so the two checkpoint kinds can
-    never be resumed against each other.  Format 2 is the common-random-number
-    seeding with every plan, unit and record field written; a format-1 file
-    holds records of the old seeds and is refused, never resumed or loaded.
+    never be resumed against each other.  Format 3 is the unit that covers
+    every horizon of a (multiplier, scenario, configuration) group (its row
+    carries no horizon), over format 2's common-random-number seeding with
+    every plan, unit and record field written.  Older files are refused,
+    never resumed or loaded: a format-2 file's units are one horizon each,
+    and a format-1 file holds records of the old seeds.  A format-2 run's
+    memo still serves every cell of the re-run: the record format
+    (``_RECORD_FORMAT``) did not change.
     """
 
     data_description = "validation"
     store_marker = "validation"
-    store_version = 2
+    store_version = 3
+    rerun_note = "; a result memo written by a format-2 run still serves every cell"
     run_noun = "campaign"
     plan_noun = "validation plan"
 
@@ -1018,7 +1084,7 @@ def load_campaign(path: str | Path, *, allow_partial: bool = False) -> CampaignR
     checkpoint holding fewer records than its plan calls for (an
     interrupted, never-resumed campaign) is refused unless ``allow_partial``.
     """
-    plan, records = load_checkpoint(path, ValidationStore)
+    plan, units, records = load_checkpoint(path, ValidationStore)
     # compare record counts, not unit counts: the unit count depends on the
     # chunk_size the checkpointing run used, the record count only on the plan
     expected = plan.num_simulations
@@ -1028,7 +1094,7 @@ def load_campaign(path: str | Path, *, allow_partial: bool = False) -> CampaignR
             f"plan calls for (incomplete campaign); resume it, or pass "
             f"allow_partial=True to load it anyway"
         )
-    return CampaignResult(plan=plan, records=records)
+    return CampaignResult(plan=plan, records=_canonical_records(plan, units, records))
 
 
 # --------------------------------------------------------------------------- #
@@ -1042,11 +1108,14 @@ def _memo_study_key(plan: ValidationPlan) -> str:
     Hashes everything that determines how one cell's records are computed:
     the sweep plan the campaign replays (minus its name and grid extents —
     labels and outer-loop bounds never change a cell) plus the campaign's
-    warm-up fraction, data-set cap and screen tier, and the checkpoint format
-    version, so cells cached under an older seeding always miss.  Horizons /
-    multipliers / scenarios are cell coordinates, not study parameters, so
-    they live in the cell key — a wider grid reuses the cells of a narrower
-    one.
+    warm-up fraction, data-set cap and screen tier, and the record format
+    (``_RECORD_FORMAT``), so cells cached under an older seeding always
+    miss.  Horizons / multipliers / scenarios are cell coordinates, not
+    study parameters, so they live in the cell key: more multipliers or
+    scenarios reuse the cells of a narrower grid, but a unit spans every
+    horizon and is served only when all its cells hit, so a wider horizon
+    list recomputes whole units.  The checkpoint format is not hashed: how
+    cells are grouped into units never changes a cell.
     """
     sweep = plan_to_dict(plan.sweep_plan)
     for label in ("name", "num_configurations", "target_throughputs"):
@@ -1054,7 +1123,7 @@ def _memo_study_key(plan: ValidationPlan) -> str:
     return memo_key(
         {
             "kind": "validation",
-            "format": ValidationStore.store_version,
+            "format": _RECORD_FORMAT,
             "sweep_plan": sweep,
             "warmup_fraction": plan.warmup_fraction,
             "max_datasets": plan.max_datasets,
@@ -1067,6 +1136,7 @@ def _memo_study_key(plan: ValidationPlan) -> str:
 def _memo_cell_keys(plan: ValidationPlan, unit: ValidationUnit) -> list[str]:
     """The memo-cache fingerprints of a unit's grid cells, in record order.
 
+    One cell per (horizon, source), horizon-major like the unit's records.
     The source dict carries the captured allocation payload, so a cell solved
     to a different allocation can never be served another allocation's
     records; the scenario dict carries the full injection spec, so a
@@ -1074,22 +1144,25 @@ def _memo_cell_keys(plan: ValidationPlan, unit: ValidationUnit) -> list[str]:
     misses.
     """
     scenario = plan.scenarios[unit.scenario].as_dict()
+    sources = [plan.sources[source_index].as_dict() for source_index in unit.sources]
     return [
         memo_key(
             {
-                "source": plan.sources[source_index].as_dict(),
-                "horizon": unit.horizon,
+                "source": source,
+                "horizon": float(horizon),
                 "rate_multiplier": unit.rate_multiplier,
                 "scenario": scenario,
             }
         )
-        for source_index in unit.sources
+        for horizon in plan.horizons
+        for source in sources
     ]
 
 
 def _unit_label(plan: ValidationPlan, unit: ValidationUnit) -> str:
+    horizons = "/".join(f"{horizon:g}" for horizon in plan.horizons)
     return (
-        f"horizon {unit.horizon:g}, rate x{unit.rate_multiplier:g}, "
+        f"horizons {horizons}, rate x{unit.rate_multiplier:g}, "
         f"scenario {plan.scenarios[unit.scenario].name}"
     )
 
@@ -1115,7 +1188,8 @@ def run_validation(
     parallelise), optionally checkpointed per unit into a
     :class:`ValidationStore` (or a :class:`ShardedStore`; a directory path
     is a shard root) and resumable with ``resume=True``.  Records are
-    reassembled in canonical unit order, so backend choice and completion
+    reassembled in the canonical order (horizon, multiplier, scenario,
+    configuration, source), so unit shape, backend choice and completion
     order never change the result — the simulation itself is deterministic.
 
     ``chunk_size`` caps the sources per unit (see
@@ -1127,9 +1201,10 @@ def run_validation(
     freshly computed cells are written back, and the result's ``memo_stats``
     reports hits/misses.
     """
+    units = plan_validation_units(plan, chunk_size=chunk_size)
     records, memo_stats = run_units(
         plan,
-        plan_validation_units(plan, chunk_size=chunk_size),
+        units,
         backend=backend,
         store=as_store(store, ValidationStore),
         resume=resume,
@@ -1142,4 +1217,6 @@ def run_validation(
             f"{_unit_label(plan, unit)}, {len(records)} simulations"
         ),
     )
-    return CampaignResult(plan=plan, records=records, memo_stats=memo_stats)
+    return CampaignResult(
+        plan=plan, records=_canonical_records(plan, units, records), memo_stats=memo_stats
+    )

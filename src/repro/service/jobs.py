@@ -62,9 +62,18 @@ class Job:
     progress reflects what is durably on disk, not what is merely in flight.
     """
 
-    def __init__(self, job_id: str, spec: StudySpec, fingerprint: str, store_dir: Path) -> None:
+    def __init__(
+        self,
+        job_id: str,
+        spec: "StudySpec | None",
+        fingerprint: str,
+        store_dir: Path,
+        *,
+        name: "str | None" = None,
+    ) -> None:
         self.id = job_id
-        self.spec = spec
+        self.spec = spec  # None only for a journaled spec this version refuses
+        self.name = spec.name if spec is not None else name
         self.fingerprint = fingerprint
         self.store_dir = Path(store_dir)
         self.state = "queued"
@@ -96,7 +105,7 @@ class Job:
         """The job's status payload (``GET /v1/studies/{id}``)."""
         data: dict = {
             "id": self.id,
-            "name": self.spec.name,
+            "name": self.name,
             "fingerprint": self.fingerprint,
             "state": self.state,
             "units_completed": self.units_completed(),
@@ -257,7 +266,10 @@ class JobManager:
         Interrupted studies resume from their checkpoints; finished ones
         re-run instantly (every unit is already checkpointed) so their
         results are servable again.  Previously *failed* jobs are retried —
-        a restart is the operator's retry button.
+        a restart is the operator's retry button.  A journaled spec that
+        this version refuses (one an older server accepted, such as H2 with
+        ``iterations: 0``) is registered as a ``failed`` job carrying the
+        one-line refusal, and recovery goes on with the next entry.
         """
         entries = self.journal.load()
         recovered = 0
@@ -267,9 +279,34 @@ class JobManager:
                     f"{self.journal.path} holds job {entry['id']} without its spec; "
                     f"refusing to recover from a corrupt journal"
                 )
-            self.submit(StudySpec.from_dict(entry["spec"]), journal=False)
+            try:
+                spec = StudySpec.from_dict(entry["spec"])
+            except ConfigurationError as exc:
+                self._register_refused(entry, exc)
+            else:
+                self.submit(spec, journal=False)
             recovered += 1
         return recovered
+
+    def _register_refused(self, entry: Mapping, exc: ConfigurationError) -> None:
+        """Show a journaled job whose spec no longer parses as failed."""
+        job_id = entry["id"]
+        job = Job(
+            job_id,
+            None,
+            entry["fingerprint"],
+            self.store_root / "studies" / job_id,
+            name=str(entry["spec"].get("name", "")),
+        )
+        job.state = "failed"
+        job.error = f"{type(exc).__name__}: {exc}"
+        with self._lock:
+            self._jobs[job_id] = job
+            self._order.append(job_id)
+        self.journal.record(job_id, "failed", fingerprint=job.fingerprint)
+        if self.metrics is not None:
+            self.metrics.increment("jobs_failed")
+        job.finished.set()
 
     # -- queries --------------------------------------------------------- #
     def get(self, job_id: str) -> Job:
@@ -299,6 +336,7 @@ class JobManager:
         ``capture_allocations`` carries over: it changes record content, so
         it follows the submission.
         """
+        assert job.spec is not None  # refused journal entries never execute
         execution = ExecutionSpec(
             workers=self.workers,
             store_dir=str(job.store_dir),

@@ -16,7 +16,8 @@ the execution of the data-set stream on the rented instances:
   window take no new work until the window ends);
 * the simulation stops at a configurable horizon and reports the achieved
   output throughput, latencies, per-type utilisation and the peak reorder
-  buffer occupancy (see :class:`~repro.simulation.metrics.SimulationReport`).
+  buffer occupancy (see :class:`~repro.simulation.metrics.SimulationReport`);
+  the reports of shorter horizons (``prefixes``) come out of the same run.
 
 Two engine implementations share this model.  ``engine="fast"`` (the default)
 is an inlined hot loop: raw ``(time, seq, kind, arg)`` heap tuples, per-recipe
@@ -41,6 +42,7 @@ cost model makes no promise about.
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapreplace
+from typing import Iterable
 
 from ..core.allocation import Allocation
 from ..core.exceptions import SimulationError
@@ -59,6 +61,14 @@ __all__ = ["StreamSimulator"]
 _ARRIVAL = int(EventKind.ARRIVAL)
 _TASK_COMPLETE = int(EventKind.TASK_COMPLETE)
 _RESUME = int(EventKind.RESUME)
+
+
+def _recipe_mix(assigned: list[int]) -> tuple[float, ...]:
+    """The fast router's share of data sets per recipe (reference: ``RecipeRouter.mix``)."""
+    total = sum(assigned)
+    if not total:
+        return tuple(0.0 for _ in assigned)
+    return tuple(count / total for count in assigned)
 
 
 class StreamSimulator:
@@ -120,13 +130,43 @@ class StreamSimulator:
         self.engine = engine
 
     # ------------------------------------------------------------------ #
-    def run(self, horizon: float = 50.0, *, max_datasets: int | None = None) -> SimulationReport:
-        """Run the simulation until ``horizon`` time units (or ``max_datasets`` arrivals)."""
+    def run(
+        self,
+        horizon: float = 50.0,
+        *,
+        max_datasets: int | None = None,
+        prefixes: Iterable[float] = (),
+    ) -> SimulationReport:
+        """Run the simulation until ``horizon`` time units (or ``max_datasets`` arrivals).
+
+        ``prefixes`` asks for the reports of shorter horizons too (each in
+        ``(0, horizon]``; order and duplicates do not matter).  They come
+        back in ``metadata["prefixes"]``, a dict from horizon to report in
+        ascending order, and each equals the report of an independent run to
+        that horizon.  The fast engine builds them in the same run: events
+        are ordered by ``(time, seq)`` and the extra arrivals a longer run
+        pushes only shift later ``seq`` values, so every event up to ``h``
+        is processed exactly as in a run to ``h``; the horizon-``h`` report
+        is read from the live state just before the first event past ``h``
+        (or at the end, if the event heap drains first).  Prefix reports
+        carry no ``event_counters`` — those count the whole run.  The
+        reference engine runs each prefix independently: it is the oracle.
+        """
         if horizon <= 0:
             raise SimulationError(f"horizon must be positive, got {horizon}")
+        shorter = sorted({float(h) for h in prefixes})
+        if shorter and not (0 < shorter[0] and shorter[-1] <= horizon):
+            raise SimulationError(
+                f"prefix horizons must lie in (0, {horizon}], got {shorter}"
+            )
         if self.engine == "fast":
-            return self._run_fast(horizon, max_datasets)
-        return self._run_reference(horizon, max_datasets)
+            return self._run_fast(horizon, max_datasets, shorter)
+        report = self._run_reference(horizon, max_datasets)
+        if shorter:
+            report.metadata["prefixes"] = {
+                h: self._run_reference(h, max_datasets) for h in shorter
+            }
+        return report
 
     # ------------------------------------------------------------------ #
     # shared setup
@@ -203,7 +243,9 @@ class StreamSimulator:
             taskinfo, npred = info_by_id, npred_by_id
         return taskinfo, npred, tuple(recipe.sources()), recipe.num_tasks
 
-    def _run_fast(self, horizon: float, max_datasets: int | None) -> SimulationReport:
+    def _run_fast(
+        self, horizon: float, max_datasets: int | None, prefixes: list[float]
+    ) -> SimulationReport:
         """The inlined hot loop.
 
         Everything per-event is local: raw ``(time, seq, kind, arg)`` tuples
@@ -216,11 +258,12 @@ class StreamSimulator:
         float comparison per dispatch, 0.0 for everything a failure window
         never touches.  ``ProcessorInstance.completed_tasks`` is not
         maintained here (nothing in a report reads it); every report field is
-        byte-identical to the reference engine's.
+        byte-identical to the reference engine's.  ``prefixes`` (ascending)
+        cost one float comparison per event, the same one that ends the run:
+        ``limit`` is the earliest horizon still to report.
         """
         pool, arrival_times = self._build_pool()
         recipes = self.problem.application.recipes()
-        profiles = [self._profile(recipe, pool) for recipe in recipes]
 
         # pure-Python stride router state (reference: RecipeRouter) — data set
         # i goes to the active recipe j minimising (assigned_j + 1) / rho_j;
@@ -230,6 +273,15 @@ class StreamSimulator:
             raise SimulationError("cannot route a stream with an all-zero throughput split")
         active = [j for j, w in enumerate(weights) if w > 0]
         assigned = [0] * len(weights)
+        # task tables for the recipes the router can pick; the others are
+        # never indexed
+        profiles: list = [None] * len(recipes)
+        for j in active:
+            profiles[j] = self._profile(recipes[j], pool)
+
+        pending_prefixes = list(prefixes)
+        reports: dict[float, SimulationReport] = {}
+        limit = pending_prefixes[0] if pending_prefixes else horizon
 
         # Only in-flight data sets are kept: a completed data set is evicted
         # as soon as it is released, so the dict's size is the current backlog
@@ -275,8 +327,19 @@ class StreamSimulator:
         while events:
             ev = pop(events)
             now = ev[0]
-            if now > horizon:
-                break
+            if now > limit:
+                # the clock passed `limit`: report every prefix horizon it
+                # passed from the state before this event, then stop at the
+                # run's own horizon
+                while pending_prefixes and now > pending_prefixes[0]:
+                    at = pending_prefixes.pop(0)
+                    reports[at] = self._report(
+                        at, arrivals, latencies, completions, pool, reorder_peak,
+                        _recipe_mix(assigned), len(datasets), peak_in_flight,
+                    )
+                limit = pending_prefixes[0] if pending_prefixes else horizon
+                if now > horizon:
+                    break
             kind = ev[2]
 
             if kind == 1:  # TASK_COMPLETE — one per task served, the hottest arm
@@ -501,12 +564,14 @@ class StreamSimulator:
                         push(events, (until, seq, 1, inst))
                         seq += 1
 
-        total_routed = sum(assigned)
-        if total_routed:
-            recipe_mix = tuple(count / total_routed for count in assigned)
-        else:
-            recipe_mix = tuple(0.0 for _ in weights)
-        return self._report(
+        recipe_mix = _recipe_mix(assigned)
+        # the heap drained before these horizons: nothing changes after it
+        for at in pending_prefixes:
+            reports[at] = self._report(
+                at, arrivals, latencies, completions, pool, reorder_peak,
+                recipe_mix, len(datasets), peak_in_flight,
+            )
+        report = self._report(
             horizon, arrivals, latencies, completions, pool, reorder_peak,
             recipe_mix, len(datasets), peak_in_flight,
             event_counters={
@@ -515,6 +580,9 @@ class StreamSimulator:
                 "dispatch_scan": dispatch_scan,
             },
         )
+        if prefixes:
+            report.metadata["prefixes"] = reports
+        return report
 
     # ------------------------------------------------------------------ #
     # reference engine (the original loop, kept as the equivalence oracle)

@@ -9,7 +9,7 @@ from repro.core import ConfigurationError
 from repro.experiments.backends import ProcessPoolBackend
 from repro.experiments.config import default_plan
 from repro.experiments.runner import AllocationPayload, RunRecord, SweepResult, run_plan
-from repro.experiments.store import SweepStore, load_sweep_result
+from repro.experiments.store import ShardedStore, SweepStore, load_sweep_result
 from repro.experiments.validation import (
     AllocationSource,
     CampaignResult,
@@ -155,8 +155,9 @@ class TestUnits:
     def test_units_cover_the_grid(self, campaign_plan):
         units = plan_validation_units(campaign_plan)
         covered = {
-            (unit.horizon, unit.rate_multiplier, source)
+            (horizon, unit.rate_multiplier, source)
             for unit in units
+            for horizon in campaign_plan.horizons
             for source in unit.sources
         }
         expected = {
@@ -342,8 +343,9 @@ class TestScenarioAxis:
         assert scenario_plan.num_simulations == len(scenario_plan.sources) * 3
         units = plan_validation_units(scenario_plan)
         covered = {
-            (unit.horizon, unit.rate_multiplier, unit.scenario, source)
+            (horizon, unit.rate_multiplier, unit.scenario, source)
             for unit in units
+            for horizon in scenario_plan.horizons
             for source in unit.sources
         }
         expected = {
@@ -383,7 +385,7 @@ class TestScenarioAxis:
             assert unit.as_dict()["scenario"] == 0
         with pytest.raises(KeyError):
             ValidationUnit.from_dict(
-                {"index": 0, "horizon": 6.0, "rate_multiplier": 1.0, "sources": [0]}
+                {"index": 0, "rate_multiplier": 1.0, "sources": [0]}
             )
 
     def test_baseline_records_serialise_their_scenario(self, scenario_campaign):
@@ -568,16 +570,21 @@ class TestValidationStore:
                 load()
             assert "\n" not in str(error.value)
 
-    def test_format_1_checkpoint_refused(self, tmp_path, campaign_plan):
-        # a campaign checkpointed before format 2 holds records of the old
-        # per-algorithm seeds: resuming it would mix seedings, loading it
-        # would serve them — both are refused with one line
+    @pytest.mark.parametrize("old_format", [1, 2])
+    def test_older_checkpoint_formats_refused(self, tmp_path, campaign_plan, old_format):
+        # a format-2 checkpoint holds one-horizon units, a format-1 one
+        # records of the old per-algorithm seeds: resuming either would mix
+        # unit shapes or seedings, loading it would serve them — both are
+        # refused with one line that names the fix
         path = tmp_path / "campaign.jsonl"
         run_validation(campaign_plan, store=ValidationStore(path))
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
-        assert header["version"] == 2
-        lines[0] = json.dumps({**header, "version": 1})
+        assert header["version"] == 3
+        assert set(json.loads(lines[1])["unit"]) == {
+            "index", "rate_multiplier", "sources", "scenario"
+        }
+        lines[0] = json.dumps({**header, "version": old_format})
         path.write_text("\n".join(lines) + "\n")
         shards = tmp_path / "sharded"
         shards.mkdir()
@@ -590,8 +597,9 @@ class TestValidationStore:
         ):
             with pytest.raises(ConfigurationError, match="predates validation checkpoint") as error:
                 load()
-            assert "format 2 (it has format 1)" in str(error.value)
+            assert f"format 3 (it has format {old_format})" in str(error.value)
             assert "re-run the campaign" in str(error.value)
+            assert "memo written by a format-2 run still serves every cell" in str(error.value)
             assert "\n" not in str(error.value)
 
     def test_chunked_checkpoint_loads_complete(self, tmp_path, campaign_plan, serial_campaign):
@@ -842,3 +850,152 @@ class TestSharedAllocations:
         }
         assert shared_calls == len(simulated)
         assert len(calls) - shared_calls == 2 * len(simulated)
+
+
+# --------------------------------------------------------------------------- #
+# one simulation per (allocation, multiplier, scenario), every horizon
+# --------------------------------------------------------------------------- #
+
+
+def prefix_scenarios(sweep: SweepResult) -> tuple:
+    """Poisson arrivals, plain and with failures opening between 15 and 30:
+    the fluid screen clears the x0.5 cells of the second at 15 but flags them
+    at 30, so one cell mixes tiers across horizons."""
+    types = sorted({t for r in sweep.records for t in r.allocation.to_allocation().machines})
+    return (
+        ScenarioSpec(name="poisson", arrival=PoissonArrivals()),
+        ScenarioSpec(
+            name="late-failures",
+            arrival=PoissonArrivals(),
+            failures=tuple(FailureWindow(t, 20.0, 4.0, count=9) for t in types),
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def prefix_sweep() -> SweepResult:
+    return run_plan(small_plan(num_configurations=1, throughputs=(20, 40)), capture_allocations=True)
+
+
+def prefix_plan(sweep: SweepResult, horizons, screen: str = "none") -> ValidationPlan:
+    return plan_from_sweep(
+        sweep, horizons=horizons, rate_multipliers=(0.5, 1.0),
+        scenarios=prefix_scenarios(sweep), screen=screen,
+    )
+
+
+@pytest.fixture(scope="module", params=["none", "fluid"])
+def single_horizon_lines(request, prefix_sweep):
+    """(screen, lines of a (15,) campaign followed by those of a (30,) one)."""
+    lines = []
+    for horizon in (15.0, 30.0):
+        lines += record_lines(run_validation(prefix_plan(prefix_sweep, (horizon,), request.param)))
+    return request.param, lines
+
+
+class TestHorizonPrefixes:
+    @pytest.mark.parametrize("how", ["serial", "pool", "resume", "shards"])
+    def test_two_horizons_equal_two_single_horizon_campaigns(
+        self, tmp_path, prefix_sweep, single_horizon_lines, how
+    ):
+        screen, expected = single_horizon_lines
+        plan = prefix_plan(prefix_sweep, (15.0, 30.0), screen)
+        if how == "serial":
+            campaign = run_validation(plan)
+        elif how == "pool":
+            campaign = run_validation(plan, backend=ProcessPoolBackend(2))
+        elif how == "resume":
+            class _Interrupt(Exception):
+                pass
+
+            def tripwire(_msg):
+                raise _Interrupt
+
+            path = tmp_path / "campaign.jsonl"
+            with pytest.raises(_Interrupt):
+                run_validation(plan, store=ValidationStore(path), progress=tripwire)
+            partial = load_campaign(path, allow_partial=True)
+            assert 0 < len(partial.records) < len(expected)
+            campaign = run_validation(plan, store=ValidationStore(path), resume=True)
+            assert record_lines(load_campaign(path)) == expected
+        else:
+            root = tmp_path / "shards"
+            campaign = run_validation(
+                plan, store=ShardedStore(root, store_type=ValidationStore, shards=2)
+            )
+            assert record_lines(load_campaign(root)) == expected
+        assert record_lines(campaign) == expected
+
+    def test_fluid_cells_mix_tiers_across_horizons(self, prefix_sweep):
+        campaign = run_validation(prefix_plan(prefix_sweep, (15.0, 30.0), "fluid"))
+        tiers: dict = {}
+        for record in campaign.records:
+            tiers.setdefault(_cell(replace(record, horizon=0.0)), {})[record.horizon] = record.tier
+        assert {15.0: "fluid", 30.0: "des"} in tiers.values()
+        assert {15.0: "des", 30.0: "des"} in tiers.values()
+
+    def test_one_run_per_allocation_to_the_longest_horizon(self, monkeypatch, prefix_sweep):
+        plan = prefix_plan(prefix_sweep, (15.0, 30.0))
+        horizons = []
+        simulate = StreamSimulator.run
+
+        def counted(self, horizon=50.0, **kwargs):
+            horizons.append(horizon)
+            return simulate(self, horizon, **kwargs)
+
+        monkeypatch.setattr(StreamSimulator, "run", counted)
+        run_validation(plan)
+        distinct = {
+            (
+                source.configuration, source.rho,
+                json.dumps(source.payload.as_dict(), sort_keys=True),
+                multiplier, scenario.name,
+            )
+            for source in plan.sources
+            for multiplier in plan.rate_multipliers
+            for scenario in plan.scenarios
+        }
+        assert horizons == [30.0] * len(distinct)
+
+    def test_memo_of_single_horizon_campaigns_serves_every_cell(
+        self, tmp_path, prefix_sweep, single_horizon_lines
+    ):
+        screen, expected = single_horizon_lines
+        memo = tmp_path / "memo.jsonl"
+        for horizon in (15.0, 30.0):
+            run_validation(prefix_plan(prefix_sweep, (horizon,), screen), memo=memo)
+        served = run_validation(prefix_plan(prefix_sweep, (15.0, 30.0), screen), memo=memo)
+        assert served.memo_stats.misses == 0
+        assert served.memo_stats.hits == len(expected)
+        assert record_lines(served) == expected
+
+    def test_units_span_every_horizon(self, prefix_sweep):
+        plan = prefix_plan(prefix_sweep, (15.0, 30.0))
+        units = plan_validation_units(plan)
+        # one unit per (multiplier, scenario, configuration): horizons do not multiply
+        assert len(units) == len(plan.rate_multipliers) * len(plan.scenarios)
+        assert len(plan_validation_units(plan, chunk_size=1)) == len(units) * len(
+            units[0].sources
+        )
+        messages = []
+        run_validation(plan, progress=messages.append)
+        assert len(messages) == len(units)
+        assert messages[0].endswith(
+            f"(horizons 15/30, rate x0.5, scenario poisson, "
+            f"{2 * len(units[0].sources)} simulations)"
+        )
+
+    def test_listed_order_and_duplicates_kept(self, captured_sweep):
+        plan = plan_from_sweep(captured_sweep, horizons=(6.0, 3.0, 6.0), scenarios=SCENARIOS)
+        expected = []
+        for horizon in (6.0, 3.0, 6.0):
+            expected += record_lines(
+                run_validation(plan_from_sweep(captured_sweep, horizons=(horizon,), scenarios=SCENARIOS))
+            )
+        campaign = run_validation(plan)
+        assert record_lines(campaign) == expected
+        per_horizon = len(plan.sources) * len(SCENARIOS)
+        assert [r.horizon for r in campaign.records] == (
+            [6.0] * per_horizon + [3.0] * per_horizon + [6.0] * per_horizon
+        )
+        assert record_lines(run_validation(plan, chunk_size=1)) == expected

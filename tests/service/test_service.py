@@ -9,12 +9,21 @@ with the right status code.
 """
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.api import Study
 from repro.core import ConfigurationError
 from repro.experiments.spec import StudySpec, study_fingerprint
@@ -178,6 +187,24 @@ class TestEndpoints:
         )
         assert status == 400 and "invalid study spec" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "algorithm, message",
+        [
+            ({"name": "H2", "params": {"iterations": 0}}, "iterations must be positive"),
+            ({"name": "ILP", "params": {"time_limit": -1}}, "time_limit must be positive"),
+        ],
+        ids=["H2-iterations-0", "ILP-negative-time-limit"],
+    )
+    def test_values_a_solver_refuses_are_a_bad_request(self, service, algorithm, message):
+        # they pass the parameter schema but not the solver's constructor: the
+        # submit answers 400 in one line instead of queueing a job bound to fail
+        status, payload = submit(service, {**tiny_spec_dict(), "algorithms": [algorithm]})
+        assert (status, payload["error"]) == (400, "bad-request")
+        assert "invalid study spec" in payload["message"] and message in payload["message"]
+        assert "\n" not in payload["message"]
+        assert service.manager.list_jobs() == []
+        assert service.manager.journal.load() == []
+
     def test_trailing_slash_and_query_string_are_tolerated(self, service):
         assert request(service, "GET", "/healthz/")[0] == 200
         assert request(service, "GET", "/healthz?verbose=1")[0] == 200
@@ -261,8 +288,8 @@ class TestRestartAndRecovery:
         finally:
             second.shutdown()
 
-    def test_recovered_job_with_format_1_campaign_fails_in_one_line(self, tmp_path):
-        # a store root written before campaign format 2: the recovered job
+    def test_recovered_job_with_format_2_campaign_fails_in_one_line(self, tmp_path):
+        # a store root written before campaign format 3: the recovered job
         # must fail with the checkpoint refusal, not resume a mixed campaign
         root = tmp_path / "state"
         first = JobManager(root, jobs=1)
@@ -274,7 +301,7 @@ class TestRestartAndRecovery:
             lines = path.read_text().splitlines()
             header = json.loads(lines[0])
             if header.get("store") == "validation":
-                lines[0] = json.dumps({**header, "version": 1})
+                lines[0] = json.dumps({**header, "version": 2})
                 path.write_text("\n".join(lines) + "\n")
                 downgraded += 1
         assert downgraded
@@ -284,7 +311,7 @@ class TestRestartAndRecovery:
             assert second.recover() == 1
             recovered = second.get(job.id)
             assert recovered.wait(timeout=120) and recovered.state == "failed"
-            assert "predates validation checkpoint format 2" in recovered.error
+            assert "predates validation checkpoint format 3" in recovered.error
             assert "\n" not in recovered.error
         finally:
             second.shutdown()
@@ -310,6 +337,60 @@ class TestRestartAndRecovery:
             ) == canonical_lines([r.as_dict() for r in reference.campaign.records])
         finally:
             manager.shutdown()
+
+    def test_serve_recovers_past_a_journaled_spec_it_refuses(self, tmp_path, reference):
+        # an older server accepted H2 iterations 0 with a 202 and journaled
+        # it; serve must still start, show that job failed in one line and
+        # recover the journal's other jobs
+        root = tmp_path / "state"
+        root.mkdir()
+        journal = JobJournalStore(root / "jobs.jsonl")
+        refused = {**tiny_spec_dict("svc-refused"), "algorithms": [
+            {"name": "H2", "params": {"iterations": 0}},
+        ]}
+        journal.record("b" * 16, "submitted", fingerprint="b" * 64, spec=refused)
+        good = StudySpec.from_dict(tiny_spec_dict())
+        fingerprint = study_fingerprint(good)
+        journal.record(
+            fingerprint[:16], "submitted", fingerprint=fingerprint, spec=good.as_dict()
+        )
+
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--store-root", str(root),
+             "--port", "0", "--jobs", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        try:
+            banner = process.stdout.readline()
+            match = re.search(r"listening on http://[\w.]+:(\d+)", banner)
+            assert match, banner + process.stdout.read()
+            assert "recovered 2 journaled job(s)" in process.stdout.readline()
+            threading.Thread(target=process.stdout.read, daemon=True).start()
+            server = SimpleNamespace(port=int(match.group(1)))
+
+            assert request(server, "GET", "/healthz")[0] == 200
+            status, payload = request(server, "GET", "/v1/studies/" + "b" * 16)
+            assert status == 200 and payload["state"] == "failed"
+            assert payload["name"] == "svc-refused"
+            assert payload["error"] == (
+                "ConfigurationError: solver 'H2': iterations must be positive, got 0"
+            )
+            deadline = time.monotonic() + 120
+            while payload["state"] != "done" and time.monotonic() < deadline:
+                time.sleep(0.05)
+                _, payload = request(server, "GET", f"/v1/studies/{fingerprint[:16]}")
+            assert payload["state"] == "done"
+            status, results = request(
+                server, "GET", f"/v1/studies/{fingerprint[:16]}/results"
+            )
+            assert status == 200
+            assert canonical_lines(results["campaign"]) == canonical_lines(
+                [r.as_dict() for r in reference.campaign.records]
+            )
+        finally:
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=120) == 0
 
     def test_recovery_refuses_journal_entry_without_spec(self, tmp_path):
         root = tmp_path / "state"

@@ -12,6 +12,8 @@ small instance groups, lazy heap for groups of ``HEAP_MIN_GROUP`` and up).
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Allocation,
@@ -22,6 +24,7 @@ from repro.core import (
     SimulationError,
     ThroughputSplit,
 )
+from repro.generators.workload import PAPER_SETTINGS, generate_configuration_at
 from repro.simulation import (
     BatchArrivals,
     BurstyArrivals,
@@ -32,6 +35,7 @@ from repro.simulation import (
 )
 from repro.simulation.processor import HEAP_MIN_GROUP
 from repro.simulation.stream import DataSetInstance
+from repro.solvers.registry import create_solver
 
 SCENARIOS = [
     ScenarioSpec(),
@@ -69,13 +73,17 @@ def _comparable(report):
     return replace(report, metadata=metadata)
 
 
-def _both(problem, allocation, *, scenario, seed, horizon, max_datasets=None, **kw):
+def _both(
+    problem, allocation, *, scenario, seed, horizon, max_datasets=None, prefixes=(), **kw
+):
     reports = []
     for engine in ("fast", "reference"):
         sim = StreamSimulator(
             problem, allocation, scenario=scenario, seed=seed, engine=engine, **kw
         )
-        reports.append(_comparable(sim.run(horizon=horizon, max_datasets=max_datasets)))
+        reports.append(_comparable(
+            sim.run(horizon=horizon, max_datasets=max_datasets, prefixes=prefixes)
+        ))
     return reports
 
 
@@ -128,6 +136,120 @@ class TestEngineEquivalence:
                 problem, allocation, scenario=scenario, seed=seed, horizon=12.0
             )
             assert fast == reference
+
+
+class LateArrivals(PoissonArrivals):
+    """Poisson arrivals shifted by ``delay``: every shipped process starts at
+    t = 0, so only a test process has horizons before its first arrival."""
+
+    delay = 0.4
+
+    def times(self, rate, rng):
+        for time in super().times(rate, rng):
+            yield time + self.delay
+
+
+def _check_prefixes(problem, allocation, *, scenario, seed, horizons, max_datasets):
+    """Fast prefix reports equal independent reference runs, field for field.
+
+    Both engines get the same arguments; the reference answers ``prefixes``
+    with one independent run per horizon, so comparing the two reports
+    compares every prefix report too.
+    """
+    fast, reference = _both(
+        problem, allocation, scenario=scenario, seed=seed,
+        horizon=max(horizons), max_datasets=max_datasets, prefixes=horizons,
+    )
+    prefixes = fast.metadata["prefixes"]
+    assert list(prefixes) == sorted(set(horizons))
+    assert not any("event_counters" in report.metadata for report in prefixes.values())
+    assert fast == reference
+    return prefixes
+
+
+@st.composite
+def prefix_cases(draw):
+    """A small-setting configuration at a drawn seed and rho, an allocation
+    (captured from H1 or random), a scenario and an unsorted horizon list
+    with duplicates; a failure window straddles one of the horizons."""
+    rho = float(draw(st.sampled_from([10, 20, 35])))
+    problem = generate_configuration_at(
+        PAPER_SETTINGS["small"], base_seed=draw(st.integers(0, 2**20)), index=0
+    ).problem(rho)
+    if draw(st.booleans()):
+        allocation = create_solver("H1").solve(problem).allocation
+    else:
+        recipes = draw(
+            st.lists(st.integers(0, problem.num_recipes - 1), min_size=1, max_size=3, unique=True)
+        )
+        shares = draw(st.lists(st.integers(1, 4), min_size=len(recipes), max_size=len(recipes)))
+        split = [0.0] * problem.num_recipes
+        for recipe, share in zip(recipes, shares):
+            split[recipe] = rho * share / sum(shares)
+        allocation = problem.allocation_for(split)
+    horizons = draw(
+        st.lists(st.sampled_from([0.05, 0.3, 0.5, 0.9, 1.5, 2.5]), min_size=1, max_size=5)
+    )
+    kind = draw(st.sampled_from(["baseline", "poisson", "bursty+degraded", "late"]))
+    if kind == "baseline":
+        scenario = ScenarioSpec()
+    elif kind == "poisson":
+        scenario = ScenarioSpec(name="poisson", arrival=PoissonArrivals())
+    elif kind == "late":
+        scenario = ScenarioSpec(name="late", arrival=LateArrivals())
+    else:
+        straddled = draw(st.sampled_from(horizons))
+        opened = straddled * draw(st.sampled_from([0.2, 0.6, 0.95]))
+        window = FailureWindow(
+            draw(st.sampled_from(sorted(allocation.machines))),
+            opened,
+            straddled - opened + draw(st.sampled_from([0.01, 0.4, 2.0])),
+            count=draw(st.integers(1, 3)),
+        )
+        scenario = ScenarioSpec(
+            name="bursty+degraded",
+            arrival=BurstyArrivals(on=0.3, off=0.2),
+            slowdowns=((window.type_id, 0.8),),
+            failures=(window,),
+        )
+    max_datasets = draw(st.one_of(st.none(), st.integers(1, 12)))
+    return problem, allocation, scenario, draw(st.integers(0, 99)), horizons, max_datasets
+
+
+class TestPrefixReports:
+    @settings(max_examples=40, deadline=None)
+    @given(case=prefix_cases())
+    def test_prefix_reports_equal_independent_reference_runs(self, case):
+        problem, allocation, scenario, seed, horizons, max_datasets = case
+        _check_prefixes(
+            problem, allocation, scenario=scenario, seed=seed,
+            horizons=horizons, max_datasets=max_datasets,
+        )
+
+    def test_horizon_before_the_first_arrival(self, illustrating_problem_70):
+        allocation = illustrating_problem_70.allocation_for([10, 30, 30])
+        scenario = ScenarioSpec(name="late", arrival=LateArrivals())
+        prefixes = _check_prefixes(
+            illustrating_problem_70, allocation, scenario=scenario, seed=3,
+            horizons=[1.0, 0.2, 0.2], max_datasets=None,
+        )
+        assert prefixes[0.2].arrivals == 0 and prefixes[1.0].arrivals > 0
+
+    def test_max_datasets_reached_before_the_shorter_horizon(self, illustrating_problem_70):
+        allocation = illustrating_problem_70.allocation_for([10, 30, 30])
+        prefixes = _check_prefixes(
+            illustrating_problem_70, allocation, scenario=SCENARIOS[3], seed=5,
+            horizons=[4.0, 2.0, 4.0], max_datasets=5,
+        )
+        assert prefixes[2.0].arrivals == prefixes[4.0].arrivals == 5
+
+    def test_prefix_beyond_the_horizon_rejected(self, illustrating_problem_70):
+        allocation = illustrating_problem_70.allocation_for([10, 30, 30])
+        for engine in ("fast", "reference"):
+            simulator = StreamSimulator(illustrating_problem_70, allocation, engine=engine)
+            for prefixes in ([5.0, 9.0], [0.0]):
+                with pytest.raises(SimulationError, match="prefix horizons"):
+                    simulator.run(horizon=8.0, prefixes=prefixes)
 
 
 class TestEventCounters:

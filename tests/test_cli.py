@@ -436,8 +436,28 @@ class TestRunCommand:
 
 
 
-    def test_format_1_campaign_refused_on_resume(self, capsys, tmp_path):
-        """A campaign checkpoint written before format 2 is refused by both
+    def test_solver_value_refused_before_any_store_is_created(self, capsys, tmp_path):
+        """A value the solver's constructor refuses (H2 ``iterations: 0``)
+        passes the parameter schema, yet `run` refuses the spec in one line,
+        exit 2, before the sweep starts or any store directory exists."""
+        import json
+
+        store_dir = tmp_path / "stores"
+        data = _tiny_study_dict(tmp_path / "sweep.jsonl", tmp_path / "campaign.jsonl")
+        data["algorithms"][2] = {"name": "H2", "params": {"iterations": 0}}
+        data["execution"] = {"store_dir": str(store_dir)}
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps(data))
+        assert main(["run", str(study), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "solver 'H2': iterations must be positive, got 0" in captured.err
+        assert not store_dir.exists()
+        assert not (tmp_path / "sweep.jsonl").exists()
+
+    def test_format_2_campaign_refused_on_resume(self, capsys, tmp_path):
+        """A campaign checkpoint written before format 3 is refused by both
         `run --resume` and `validate --resume`: one line, exit 2."""
         import json
 
@@ -446,7 +466,7 @@ class TestRunCommand:
         study.write_text(json.dumps(_tiny_study_dict(tmp_path / "sweep.jsonl", campaign)))
         assert main(["run", str(study), "--quiet"]) == 0
         lines = campaign.read_text().splitlines()
-        lines[0] = json.dumps({**json.loads(lines[0]), "version": 1})
+        lines[0] = json.dumps({**json.loads(lines[0]), "version": 2})
         campaign.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         for argv in (
@@ -457,7 +477,7 @@ class TestRunCommand:
         ):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
-            assert "predates validation checkpoint format 2" in err, argv
+            assert "predates validation checkpoint format 3" in err, argv
             assert err.count("\n") == 1, argv
 
     def test_run_memo_repeated_all_hits_byte_identical(self, capsys, tmp_path):
