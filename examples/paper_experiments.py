@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.experiments.figures import FIGURES
+from repro.api import Study
+from repro.experiments.figures import FIGURE_DEFINITIONS, figure_spec
 from repro.experiments.reporting import render_series, render_table3, table3_vs_paper
 from repro.experiments.tables import reproduce_table3
 
@@ -26,7 +27,7 @@ def main() -> int:
     parser.add_argument("--paper-scale", action="store_true",
                         help="run the full 100-configuration sweeps (slow)")
     parser.add_argument("--figures", nargs="*", default=["figure3", "figure4", "figure5"],
-                        choices=sorted(FIGURES), help="figures to regenerate")
+                        choices=sorted(FIGURE_DEFINITIONS), help="figures to regenerate")
     parser.add_argument("--skip-table", action="store_true", help="skip the Table III reproduction")
     args = parser.parse_args()
 
@@ -42,19 +43,22 @@ def main() -> int:
 
     configurations = 100 if args.paper_scale else 5
     throughputs = None if args.paper_scale else (40, 80, 120, 160, 200)
+    sweep = None  # the previous figure's sweep: Figures 3-5 aggregate the same one
     for name in args.figures:
         print("=" * 70)
         print(name)
         print("=" * 70)
-        kwargs = {"num_configurations": configurations,
-                  "progress": lambda msg: print(msg, file=sys.stderr)}
-        if throughputs is not None:
-            kwargs["target_throughputs"] = throughputs
+        scale = {"num_configurations": configurations, "target_throughputs": throughputs}
         if name == "figure8" and not args.paper_scale:
-            kwargs["num_configurations"] = 2
-            kwargs["ilp_time_limit"] = 20.0
-        result = FIGURES[name](**kwargs)
-        print(result.description)
+            scale.update(num_configurations=2, ilp_time_limit=20.0)
+        spec = figure_spec(name, **scale)
+        if sweep is not None and sweep.plan != spec.experiment_plan():
+            sweep = None
+        result = Study.from_spec(spec).run(
+            progress=lambda msg: print(msg, file=sys.stderr), sweep=sweep
+        )
+        sweep = result.sweep
+        print(spec.description)
         print(render_series(result.series))
         print()
     return 0

@@ -56,7 +56,6 @@ __all__ = [
     "available_solvers",
     "create_solver",
     "Study",
-    "StudyBuilder",
     "StudySpec",
     "__version__",
 ]
@@ -69,7 +68,6 @@ _register_defaults()
 #: experiment and simulation stacks, which most solver-only users never touch.
 _LAZY_EXPORTS = {
     "Study": ("repro.api", "Study"),
-    "StudyBuilder": ("repro.api", "StudyBuilder"),
     "StudySpec": ("repro.experiments.spec", "StudySpec"),
 }
 

@@ -14,18 +14,21 @@ stores:
     result = Study.from_file("study.json").run(progress=print)
     print(result.series.title, result.worst_ratio())
 
-or fluently, without a JSON file:
+or from a spec built in Python:
 
 .. code-block:: python
 
-    result = (
-        Study.builder("quick-look")
-        .workload("small", configurations=5, throughputs=(60, 120))
-        .paper_lineup(iterations=500)
-        .execution(workers=4, store_dir="runs")
-        .validation(horizons=(50.0,), rate_multipliers=(1.0, 1.05))
-        .run(progress=print)
+    from repro.experiments.config import paper_algorithms
+    from repro.experiments.spec import ExecutionSpec, StudySpec, ValidationSpec, WorkloadSpec
+
+    spec = StudySpec(
+        name="quick-look",
+        workload=WorkloadSpec("small", num_configurations=5, target_throughputs=(60, 120)),
+        algorithms=tuple(paper_algorithms(iterations=500)),
+        execution=ExecutionSpec(workers=4, store_dir="runs"),
+        validation=ValidationSpec(horizons=(50.0,), rate_multipliers=(1.0, 1.05)),
     )
+    result = Study.from_spec(spec).run(progress=print)
 
 When the spec names checkpoint stores, every completed work unit of both
 stages is fsynced to disk and ``run(resume=True)`` (or ``repro-cloud run
@@ -43,24 +46,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .core.exceptions import ConfigurationError
-from .experiments.config import AlgorithmSpec, paper_algorithms
 from .experiments.metrics import SERIES, SeriesByAlgorithm
 from .experiments.runner import SweepResult, run_plan
-from .experiments.spec import (
-    ExecutionSpec,
-    StudySpec,
-    ValidationSpec,
-    WorkloadSpec,
-    study_fingerprint,
-)
+from .experiments.spec import StudySpec, study_fingerprint
 from .experiments.store import ShardedStore, shard_paths
 from .experiments.validation import CampaignResult, ValidationStore, run_validation
-from .simulation.scenarios import ScenarioSpec
 
-__all__ = ["Study", "StudyBuilder", "StudyResult"]
+__all__ = ["Study", "StudyResult"]
 
 
 @dataclass
@@ -103,17 +98,9 @@ class Study:
         return cls(spec)
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Study":
-        return cls(StudySpec.from_dict(data))
-
-    @classmethod
     def from_file(cls, path: "str | Path") -> "Study":
         """Load a ``study.json`` written by :meth:`StudySpec.to_json` (or by hand)."""
         return cls(StudySpec.from_json(path))
-
-    @staticmethod
-    def builder(name: str) -> "StudyBuilder":
-        return StudyBuilder(name)
 
     # -- derived paths ----------------------------------------------------- #
     @property
@@ -134,22 +121,15 @@ class Study:
         *,
         resume: bool | None = None,
         progress: Callable[[str], None] | None = None,
-        backend=None,
-        sweep_store=None,
-        validation_store=None,
         sweep: SweepResult | None = None,
-        check: bool = False,
     ) -> StudyResult:
         """Execute the study: sweep → (capture) → validation → series.
 
-        Parameters default to the spec's :class:`ExecutionSpec`; ``backend``,
-        ``sweep_store`` and ``validation_store`` accept the same objects as
-        :func:`~repro.experiments.runner.run_plan` /
-        :func:`~repro.experiments.validation.run_validation` and override it
-        for programmatic callers (the figure wrappers pass their legacy
-        ``backend=``/``store=`` arguments through here).  A pre-computed
-        ``sweep`` skips the sweep stage — the ``validate`` CLI uses this to
-        campaign over an existing checkpoint, including a partial one.
+        Execution follows the spec's :class:`ExecutionSpec`; ``resume``
+        defaults to its ``resume`` field.  A pre-computed ``sweep`` skips the
+        sweep stage — the ``validate`` CLI uses this to campaign over an
+        existing checkpoint, including a partial one, and figures that share
+        a sweep (Figures 3-5) aggregate one sweep several ways.
 
         With ``resume=True`` each stage resumes from its checkpoint when the
         file already exists and starts fresh otherwise, so one flag drives
@@ -159,15 +139,10 @@ class Study:
         execution = spec.execution
         if resume is None:
             resume = execution.resume
-        if backend is None:
-            backend = execution.build_backend()
-        if sweep_store is None:
-            sweep_store = self.sweep_store_path
-        if validation_store is None:
-            validation_store = self.validation_store_path
-        if execution.validation_shards is not None and isinstance(
-            validation_store, (str, Path)
-        ):
+        backend = execution.build_backend()
+        sweep_store = self.sweep_store_path
+        validation_store = self.validation_store_path
+        if execution.validation_shards is not None:
             # the spec asks for a multi-writer campaign checkpoint: one
             # store file per shard under the derived directory, merged on
             # load byte-identically to a single-store run
@@ -191,7 +166,6 @@ class Study:
                 store=sweep_store,
                 resume=bool(resume) and _existing(sweep_store),
                 progress=progress,
-                check=check,
                 chunk_size=execution.chunk_size,
                 capture_allocations=spec.capture_allocations,
                 memo=memo,
@@ -251,166 +225,12 @@ class Study:
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _existing(store) -> bool:
-    """Whether a store argument points at an existing checkpoint."""
+def _existing(store: "Path | ShardedStore | None") -> bool:
+    """Whether a store location holds a checkpoint to resume from."""
     if store is None:
         return False
     if isinstance(store, ShardedStore):
         # the root directory existing is not enough — resume needs at least
         # one shard checkpoint to pick up from
         return bool(shard_paths(store.path))
-    if isinstance(store, (str, Path)):
-        return Path(store).exists()
-    path = getattr(store, "path", None)
-    return path is not None and Path(path).exists()
-
-
-class StudyBuilder:
-    """Fluent construction of a :class:`StudySpec`.
-
-    Every method returns ``self`` so calls chain; :meth:`build` assembles and
-    validates the spec, :meth:`run` additionally executes it.
-    """
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-        self._description = ""
-        self._series = "normalized_cost"
-        self._workload: WorkloadSpec | None = None
-        self._algorithms: list[AlgorithmSpec] = []
-        self._execution = ExecutionSpec()
-        self._validation: ValidationSpec | None = None
-
-    def description(self, text: str) -> "StudyBuilder":
-        self._description = str(text)
-        return self
-
-    def series(self, kind: str) -> "StudyBuilder":
-        self._series = str(kind)
-        return self
-
-    def workload(
-        self,
-        setting,
-        *,
-        configurations: int | None = None,
-        throughputs: Sequence[float] | None = None,
-        base_seed: int = 2016,
-    ) -> "StudyBuilder":
-        """Set the workload: a paper setting name (or a ``WorkloadSetting``)."""
-        self._workload = WorkloadSpec(
-            setting=setting,
-            num_configurations=configurations,
-            target_throughputs=None if throughputs is None else tuple(throughputs),
-            base_seed=base_seed,
-        )
-        return self
-
-    def algorithm(
-        self, name: str, *, seed_sensitive: bool | None = None, **params
-    ) -> "StudyBuilder":
-        """Append one algorithm; options are validated against its registry schema.
-
-        ``seed_sensitive`` defaults to the registry's flag for the algorithm
-        (stochastic heuristics re-seed per sweep point, deterministic solvers
-        do not).
-        """
-        from .solvers.registry import solver_seed_sensitive
-
-        if seed_sensitive is None:
-            seed_sensitive = solver_seed_sensitive(name)
-        spec = AlgorithmSpec(name=name, params=dict(params), seed_sensitive=bool(seed_sensitive))
-        spec.validate()
-        self._algorithms.append(spec)
-        return self
-
-    def paper_lineup(
-        self,
-        *,
-        iterations: int = 1000,
-        ilp_time_limit: float | None = None,
-        include_ilp: bool = True,
-        include_h0: bool = False,
-    ) -> "StudyBuilder":
-        """Append the paper's figure line-up (ILP, H1, H2, H31, H32, H32Jump)."""
-        self._algorithms.extend(
-            paper_algorithms(
-                iterations=iterations,
-                ilp_time_limit=ilp_time_limit,
-                include_ilp=include_ilp,
-                include_h0=include_h0,
-            )
-        )
-        return self
-
-    def execution(
-        self,
-        *,
-        workers: int | None = None,
-        chunk_size: int | None = None,
-        store_dir=None,
-        sweep_store=None,
-        validation_store=None,
-        validation_shards: int | None = None,
-        resume: bool = False,
-        capture_allocations: bool = False,
-        memo: bool = False,
-        memo_path=None,
-    ) -> "StudyBuilder":
-        self._execution = ExecutionSpec(
-            workers=workers,
-            chunk_size=chunk_size,
-            store_dir=store_dir,
-            sweep_store=sweep_store,
-            validation_store=validation_store,
-            validation_shards=validation_shards,
-            resume=resume,
-            capture_allocations=capture_allocations,
-            memo=memo,
-            memo_path=memo_path,
-        )
-        return self
-
-    def validation(
-        self,
-        *,
-        horizons: Sequence[float] = (50.0,),
-        rate_multipliers: Sequence[float] = (1.0,),
-        warmup_fraction: float = 0.1,
-        max_datasets: int | None = None,
-        algorithms: Sequence[str] | None = None,
-        scenarios: Sequence[ScenarioSpec] | None = None,
-    ) -> "StudyBuilder":
-        self._validation = ValidationSpec(
-            horizons=tuple(horizons),
-            rate_multipliers=tuple(rate_multipliers),
-            warmup_fraction=warmup_fraction,
-            max_datasets=max_datasets,
-            algorithms=None if algorithms is None else tuple(algorithms),
-            scenarios=None if scenarios is None else tuple(scenarios),
-        )
-        return self
-
-    def build(self) -> StudySpec:
-        if self._workload is None:
-            raise ConfigurationError(
-                f"study {self._name!r} has no workload; call .workload(...) first"
-            )
-        if not self._algorithms:
-            raise ConfigurationError(
-                f"study {self._name!r} has no algorithms; call .algorithm(...) "
-                f"or .paper_lineup(...) first"
-            )
-        return StudySpec(
-            name=self._name,
-            workload=self._workload,
-            algorithms=tuple(self._algorithms),
-            execution=self._execution,
-            validation=self._validation,
-            series=self._series,
-            description=self._description,
-        )
-
-    def run(self, **kwargs) -> StudyResult:
-        """Build the spec and execute it (see :meth:`Study.run`)."""
-        return Study(self.build()).run(**kwargs)
+    return store.exists()

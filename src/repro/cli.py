@@ -43,7 +43,7 @@ from typing import Sequence
 
 from . import available_solvers, create_solver
 from .core.exceptions import ConfigurationError, ReproError
-from .experiments.figures import FIGURES, figure_spec
+from .experiments.figures import FIGURE_DEFINITIONS, figure_spec
 from .experiments.reporting import (
     campaign_summary,
     render_campaign,
@@ -98,10 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--seed", type=int, default=2016, help="base random seed")
 
     p_fig = sub.add_parser("figure", help="regenerate one of the paper's figures")
-    p_fig.add_argument("name", choices=sorted(FIGURES),
-                       help="figure to regenerate (only the paper's figures are registered "
-                            "here; the ablation studies are available programmatically via "
-                            "repro.experiments.figures.ablation_*)")
+    p_fig.add_argument("name", choices=sorted(FIGURE_DEFINITIONS),
+                       help="figure to regenerate (only the paper's figures are listed "
+                            "here; the ablation studies are StudySpecs built by "
+                            "repro.experiments.figures.ablation_* and run with "
+                            "repro.api.Study)")
     p_fig.add_argument("--configurations", type=int, default=5,
                        help="number of random configurations (paper: 100)")
     p_fig.add_argument("--iterations", type=int, default=1000, help="heuristic iteration budget")
@@ -254,7 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_seed(seed: int) -> None:
+    """Seeds root numpy's SeedSequence, which takes non-negative integers only."""
+    if seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {seed}")
+
+
 def _cmd_table3(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     table = reproduce_table3(iterations=args.iterations, base_seed=args.seed)
     print(render_table3(table))
     print()
@@ -557,6 +565,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     if args.setting:
         configuration = generate_configuration(get_setting(args.setting), seed=args.seed)
         problem = configuration.problem(args.rho)

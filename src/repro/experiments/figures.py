@@ -1,13 +1,21 @@
-"""Regeneration of the paper's evaluation figures (Figures 3 to 8) plus ablations.
+"""The paper's evaluation figures (Figures 3 to 8) and the ablations as study specs.
 
-Since the declarative study layer (:mod:`repro.experiments.spec` /
-:mod:`repro.api`) every ``figureN`` function is a thin **spec constructor**:
-:func:`figure_spec` maps the figure name to its workload setting, algorithm
-line-up and series aggregation (the table below), and the figure function
-runs the resulting :class:`~repro.experiments.spec.StudySpec` through the
-:class:`~repro.api.Study` facade.  The signatures — and the records the
-sweeps produce — are unchanged from the pre-study API, so existing callers
-and checkpoint files keep working; new code should build studies directly.
+Every figure and every ablation is a :class:`~repro.experiments.spec.StudySpec`
+— a workload setting, an algorithm line-up and a series aggregation — and
+:class:`~repro.api.Study` is the one way to run it:
+
+.. code-block:: python
+
+    from repro.api import Study
+    from repro.experiments.figures import figure_spec
+
+    spec = figure_spec("figure3", num_configurations=5)
+    result = Study.from_spec(spec).run(progress=print)
+    print(spec.description, result.series.series)
+
+Figures 3, 4 and 5 solve the same sweep and differ only in their series, so
+``Study.from_spec(figure_spec("figure4", ...)).run(sweep=figure3.sweep)``
+aggregates Figure 4 from Figure 3's sweep without solving anything again.
 
 Figure-to-setting mapping (see DESIGN.md):
 
@@ -16,49 +24,30 @@ Figure-to-setting mapping (see DESIGN.md):
 * Figure 7 — "large" setting (50-100 tasks, 8 types);
 * Figure 8 — "xlarge" ILP stress setting (100-200 tasks, 50 types, 100 s limit).
 
-Every ``figureN`` function returns a :class:`FigureResult` holding the plotted
-series (one curve per algorithm over the throughput axis) together with the
-raw sweep records; passing ``num_configurations=100`` reproduces the
-paper-scale experiment.
+``num_configurations=100`` reproduces the paper-scale experiment.  The
+``ablation_*`` constructors build the studies of the design choices DESIGN.md
+calls out (iteration budget, exchange granularity, mutation percentage,
+machine sharing), one spec per swept value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from ..core.exceptions import ConfigurationError
-from .config import ExperimentPlan, default_plan, paper_algorithms
-from .metrics import SeriesByAlgorithm, mean_cost_series, normalized_cost_series
-from .runner import SweepResult, run_plan
+from ..generators.workload import WorkloadSetting, get_setting
+from .config import AlgorithmSpec, paper_algorithms
 from .spec import ExecutionSpec, StudySpec, WorkloadSpec
 
 __all__ = [
-    "FigureResult",
     "figure_spec",
     "FIGURE_DEFINITIONS",
-    "figure3",
-    "figure4",
-    "figure5",
-    "figure6",
-    "figure7",
-    "figure8",
     "ablation_iterations",
     "ablation_delta",
     "ablation_mutation",
     "ablation_sharing",
-    "FIGURES",
 ]
-
-
-@dataclass
-class FigureResult:
-    """A regenerated figure: its plotted series plus the underlying sweep."""
-
-    figure: str
-    series: SeriesByAlgorithm
-    sweep: SweepResult
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -72,8 +61,8 @@ class _FigureDefinition:
     default_ilp_time_limit: float | None = None
 
 
-#: The paper's figures as data: the single source the spec constructor,
-#: the ``figureN`` wrappers and the CLI draw from.
+#: The paper's figures as data: the single source :func:`figure_spec` and
+#: the CLI's ``figure`` choices draw from.
 FIGURE_DEFINITIONS: dict[str, _FigureDefinition] = {
     "figure3": _FigureDefinition(
         setting="small",
@@ -168,258 +157,33 @@ def figure_spec(
     )
 
 
-def _run_figure(
-    name: str,
-    spec: StudySpec,
-    *,
-    progress: Callable[[str], None] | None = None,
-    backend=None,
-    store=None,
-    resume: bool = False,
-    sweep: SweepResult | None = None,
-) -> FigureResult:
-    """Run a figure study, honouring the legacy object-style overrides."""
-    from ..api import Study
-
-    result = Study.from_spec(spec).run(
-        progress=progress,
-        backend=backend,
-        sweep_store=store,
-        resume=resume,
-        sweep=sweep,
-    )
-    return FigureResult(
-        figure=name,
-        series=result.series,
-        sweep=result.sweep,
-        description=spec.description,
-    )
-
-
-def _figure(
-    name: str,
-    *,
-    num_configurations: int | None,
-    target_throughputs: Sequence[int] | None,
-    iterations: int,
-    ilp_time_limit: float | None = None,
-    progress: Callable[[str], None] | None,
-    backend,
-    store,
-    resume: bool,
-    capture_allocations: bool,
-    sweep: SweepResult | None = None,
-) -> FigureResult:
-    spec = figure_spec(
-        name,
-        num_configurations=num_configurations,
-        target_throughputs=target_throughputs,
-        iterations=iterations,
-        ilp_time_limit=ilp_time_limit,
-        capture_allocations=capture_allocations,
-    )
-    return _run_figure(
-        name, spec, progress=progress, backend=backend, store=store,
-        resume=resume, sweep=sweep,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# paper figures
-# --------------------------------------------------------------------------- #
-
-
-def figure3(
-    *,
-    num_configurations: int = 100,
-    target_throughputs: Sequence[int] | None = None,
-    iterations: int = 1000,
-    progress: Callable[[str], None] | None = None,
-    backend=None,
-    store=None,
-    resume: bool = False,
-    capture_allocations: bool = False,
-) -> FigureResult:
-    """Figure 3: normalised cost vs optimal, small application graphs."""
-    return _figure(
-        "figure3",
-        num_configurations=num_configurations,
-        target_throughputs=target_throughputs,
-        iterations=iterations,
-        progress=progress,
-        backend=backend,
-        store=store,
-        resume=resume,
-        capture_allocations=capture_allocations,
-    )
-
-
-def figure4(
-    *,
-    num_configurations: int = 100,
-    target_throughputs: Sequence[int] | None = None,
-    iterations: int = 1000,
-    progress: Callable[[str], None] | None = None,
-    backend=None,
-    store=None,
-    resume: bool = False,
-    capture_allocations: bool = False,
-    sweep: SweepResult | None = None,
-) -> FigureResult:
-    """Figure 4: number of times each algorithm finds the best solution (small graphs).
-
-    Accepts a pre-computed sweep (e.g. the one from :func:`figure3`, which uses
-    the same setting) to avoid running the experiment twice; in that case no
-    new sweep runs, so ``backend``/``store``/``resume`` are ignored.
-    """
-    return _figure(
-        "figure4",
-        num_configurations=num_configurations,
-        target_throughputs=target_throughputs,
-        iterations=iterations,
-        progress=progress,
-        backend=backend,
-        store=store,
-        resume=resume,
-        capture_allocations=capture_allocations,
-        sweep=sweep,
-    )
-
-
-def figure5(
-    *,
-    num_configurations: int = 100,
-    target_throughputs: Sequence[int] | None = None,
-    iterations: int = 1000,
-    progress: Callable[[str], None] | None = None,
-    backend=None,
-    store=None,
-    resume: bool = False,
-    capture_allocations: bool = False,
-    sweep: SweepResult | None = None,
-) -> FigureResult:
-    """Figure 5: computation time of the algorithms (small graphs).
-
-    Like :func:`figure4`, a pre-computed ``sweep`` short-circuits the run and
-    ``backend``/``store``/``resume`` are then ignored.
-    """
-    return _figure(
-        "figure5",
-        num_configurations=num_configurations,
-        target_throughputs=target_throughputs,
-        iterations=iterations,
-        progress=progress,
-        backend=backend,
-        store=store,
-        resume=resume,
-        capture_allocations=capture_allocations,
-        sweep=sweep,
-    )
-
-
-def figure6(
-    *,
-    num_configurations: int = 100,
-    target_throughputs: Sequence[int] | None = None,
-    iterations: int = 1000,
-    progress: Callable[[str], None] | None = None,
-    backend=None,
-    store=None,
-    resume: bool = False,
-    capture_allocations: bool = False,
-) -> FigureResult:
-    """Figure 6: normalised cost, medium application graphs (10-20 tasks, 8 types)."""
-    return _figure(
-        "figure6",
-        num_configurations=num_configurations,
-        target_throughputs=target_throughputs,
-        iterations=iterations,
-        progress=progress,
-        backend=backend,
-        store=store,
-        resume=resume,
-        capture_allocations=capture_allocations,
-    )
-
-
-def figure7(
-    *,
-    num_configurations: int = 100,
-    target_throughputs: Sequence[int] | None = None,
-    iterations: int = 1000,
-    progress: Callable[[str], None] | None = None,
-    backend=None,
-    store=None,
-    resume: bool = False,
-    capture_allocations: bool = False,
-) -> FigureResult:
-    """Figure 7: normalised cost, large application graphs (50-100 tasks)."""
-    return _figure(
-        "figure7",
-        num_configurations=num_configurations,
-        target_throughputs=target_throughputs,
-        iterations=iterations,
-        progress=progress,
-        backend=backend,
-        store=store,
-        resume=resume,
-        capture_allocations=capture_allocations,
-    )
-
-
-def figure8(
-    *,
-    num_configurations: int = 10,
-    target_throughputs: Sequence[int] | None = None,
-    iterations: int = 1000,
-    ilp_time_limit: float = 100.0,
-    progress: Callable[[str], None] | None = None,
-    backend=None,
-    store=None,
-    resume: bool = False,
-    capture_allocations: bool = False,
-) -> FigureResult:
-    """Figure 8: computation time on the ILP stress setting (100-200 tasks, 50 types).
-
-    The exact solver runs with the paper's 100 s time limit; on throughputs
-    where the limit is hit it returns its incumbent, exactly as the paper
-    describes.
-    """
-    return _figure(
-        "figure8",
-        num_configurations=num_configurations,
-        target_throughputs=target_throughputs,
-        iterations=iterations,
-        ilp_time_limit=ilp_time_limit,
-        progress=progress,
-        backend=backend,
-        store=store,
-        resume=resume,
-        capture_allocations=capture_allocations,
-    )
-
-
 # --------------------------------------------------------------------------- #
 # ablations (design choices called out in DESIGN.md, not in the paper)
 # --------------------------------------------------------------------------- #
 
+_ABLATION_THROUGHPUTS = (50, 100, 150, 200)
 
-def _run(
-    plan: ExperimentPlan,
-    progress: Callable[[str], None] | None,
+
+def _ablation_spec(
+    name: str,
+    setting: WorkloadSetting,
+    algorithms: Sequence[AlgorithmSpec],
     *,
-    backend=None,
-    store=None,
-    resume: bool = False,
-    capture_allocations: bool = False,
-) -> SweepResult:
-    return run_plan(
-        plan,
-        backend=backend,
-        store=store,
-        resume=resume,
-        progress=progress,
-        capture_allocations=capture_allocations,
+    num_configurations: int,
+    target_throughputs: Sequence[float],
+    description: str,
+    series: str = "normalized_cost",
+) -> StudySpec:
+    return StudySpec(
+        name=name,
+        workload=WorkloadSpec(
+            setting=setting,
+            num_configurations=num_configurations,
+            target_throughputs=tuple(target_throughputs),
+        ),
+        algorithms=tuple(algorithms),
+        series=series,
+        description=description,
     )
 
 
@@ -427,43 +191,31 @@ def ablation_iterations(
     budgets: Sequence[int] = (10, 100, 1000, 5000),
     *,
     num_configurations: int = 10,
-    target_throughputs: Sequence[int] = (50, 100, 150, 200),
-    progress: Callable[[str], None] | None = None,
-    backend=None,
-) -> dict[int, FigureResult]:
+    target_throughputs: Sequence[float] = _ABLATION_THROUGHPUTS,
+) -> dict[int, StudySpec]:
     """Effect of the iteration budget on the iterative heuristics (H2/H31/H32Jump)."""
-    results: dict[int, FigureResult] = {}
-    for budget in budgets:
-        plan = default_plan(
-            "small",
+    return {
+        int(budget): _ablation_spec(
+            f"ablation_iterations_{int(budget)}",
+            get_setting("small"),
+            paper_algorithms(iterations=int(budget)),
             num_configurations=num_configurations,
             target_throughputs=target_throughputs,
-            iterations=int(budget),
-        )
-        sweep = _run(plan, progress, backend=backend)
-        results[int(budget)] = FigureResult(
-            figure=f"ablation_iterations[{budget}]",
-            series=normalized_cost_series(sweep),
-            sweep=sweep,
             description=f"Iteration budget ablation (budget={budget})",
         )
-    return results
+        for budget in budgets
+    }
 
 
 def ablation_delta(
     deltas: Sequence[float] = (1.0, 5.0, 10.0),
     *,
     num_configurations: int = 10,
-    target_throughputs: Sequence[int] = (50, 100, 150, 200),
+    target_throughputs: Sequence[float] = _ABLATION_THROUGHPUTS,
     iterations: int = 1000,
-    progress: Callable[[str], None] | None = None,
-    backend=None,
-) -> dict[float, FigureResult]:
+) -> dict[float, StudySpec]:
     """Effect of the throughput-exchange granularity ``delta`` on the heuristics."""
-    from .config import AlgorithmSpec
-    from ..generators.workload import get_setting
-
-    results: dict[float, FigureResult] = {}
+    specs: dict[float, StudySpec] = {}
     for delta in deltas:
         algorithms = (
             AlgorithmSpec("ILP", {}),
@@ -473,73 +225,49 @@ def ablation_delta(
             AlgorithmSpec("H32", {"iterations": iterations, "delta": float(delta)}),
             AlgorithmSpec("H32Jump", {"iterations": iterations, "delta": float(delta)}, seed_sensitive=True),
         )
-        plan = ExperimentPlan(
-            name=f"delta={delta:g}",
-            setting=get_setting("small"),
-            algorithms=algorithms,
+        specs[float(delta)] = _ablation_spec(
+            f"ablation_delta_{delta:g}",
+            get_setting("small"),
+            algorithms,
             num_configurations=num_configurations,
-            target_throughputs=tuple(target_throughputs),
-        )
-        sweep = _run(plan, progress, backend=backend)
-        results[float(delta)] = FigureResult(
-            figure=f"ablation_delta[{delta:g}]",
-            series=normalized_cost_series(sweep),
-            sweep=sweep,
+            target_throughputs=target_throughputs,
             description=f"Exchange granularity ablation (delta={delta:g})",
         )
-    return results
+    return specs
 
 
 def ablation_mutation(
     fractions: Sequence[float] = (0.1, 0.3, 0.5, 1.0),
     *,
     num_configurations: int = 10,
-    target_throughputs: Sequence[int] = (50, 100, 150, 200),
+    target_throughputs: Sequence[float] = _ABLATION_THROUGHPUTS,
     iterations: int = 1000,
-    progress: Callable[[str], None] | None = None,
-    backend=None,
-) -> dict[float, FigureResult]:
+) -> dict[float, StudySpec]:
     """Effect of the alternative-graph mutation percentage (Section VIII-A remark).
 
     A fraction of 1.0 approximates the paper's first, fully random generation
     attempt where H1 alone is nearly optimal; smaller fractions create recipe
     sets where mixing graphs pays off.
     """
-    from dataclasses import replace
-
-    from ..generators.workload import get_setting
-
     base = get_setting("small")
-    results: dict[float, FigureResult] = {}
-    for fraction in fractions:
-        setting = replace(base, name=f"small-mut{fraction:g}", mutation_fraction=float(fraction))
-        plan = ExperimentPlan(
-            name=setting.name,
-            setting=setting,
-            algorithms=tuple(paper_algorithms(iterations=iterations)),
+    return {
+        float(fraction): _ablation_spec(
+            f"ablation_mutation_{fraction:g}",
+            replace(base, name=f"small-mut{fraction:g}", mutation_fraction=float(fraction)),
+            paper_algorithms(iterations=iterations),
             num_configurations=num_configurations,
-            target_throughputs=tuple(target_throughputs),
-        )
-        sweep = _run(plan, progress, backend=backend)
-        results[float(fraction)] = FigureResult(
-            figure=f"ablation_mutation[{fraction:g}]",
-            series=normalized_cost_series(sweep),
-            sweep=sweep,
+            target_throughputs=target_throughputs,
             description=f"Mutation percentage ablation (fraction={fraction:g})",
         )
-    return results
+        for fraction in fractions
+    }
 
 
 def ablation_sharing(
     *,
     num_configurations: int = 10,
-    target_throughputs: Sequence[int] = (50, 100, 150, 200),
-    progress: Callable[[str], None] | None = None,
-    backend=None,
-    store=None,
-    resume: bool = False,
-    capture_allocations: bool = False,
-) -> FigureResult:
+    target_throughputs: Sequence[float] = _ABLATION_THROUGHPUTS,
+) -> StudySpec:
     """Benefit of sharing machines across recipes.
 
     Compares the exact shared-machine optimum (ILP) with the best achievable
@@ -547,38 +275,17 @@ def ablation_sharing(
     heuristic mode), quantifying how much the general model of Section V-C
     saves.
     """
-    from ..generators.workload import get_setting
-    from .config import AlgorithmSpec
-
-    algorithms = (
-        AlgorithmSpec("ILP", {}),
-        AlgorithmSpec("DP", {"allow_shared_types": True}),
-        AlgorithmSpec("H1", {}),
-    )
-    plan = ExperimentPlan(
-        name="sharing",
-        setting=get_setting("small"),
-        algorithms=algorithms,
+    return _ablation_spec(
+        "ablation_sharing",
+        get_setting("small"),
+        (
+            AlgorithmSpec("ILP", {}),
+            AlgorithmSpec("DP", {"allow_shared_types": True}),
+            AlgorithmSpec("H1", {}),
+        ),
         num_configurations=num_configurations,
-        target_throughputs=tuple(target_throughputs),
-    )
-    sweep = _run(plan, progress, backend=backend, store=store, resume=resume,
-                 capture_allocations=capture_allocations)
-    return FigureResult(
-        figure="ablation_sharing",
-        series=mean_cost_series(sweep),
-        sweep=sweep,
+        target_throughputs=target_throughputs,
         description="Machine sharing ablation: shared-type optimum (ILP) vs "
         "per-recipe dimensioning (DP without sharing) vs single recipe (H1)",
+        series="mean_cost",
     )
-
-
-#: Registry used by the CLI (figure name -> callable).
-FIGURES: dict[str, Callable[..., FigureResult]] = {
-    "figure3": figure3,
-    "figure4": figure4,
-    "figure5": figure5,
-    "figure6": figure6,
-    "figure7": figure7,
-    "figure8": figure8,
-}

@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ..core.exceptions import ConfigurationError
+from ..core.exceptions import ConfigurationError, ReproError
 from ..generators.workload import PAPER_SETTINGS, WorkloadSetting, get_setting
 from ..simulation.scenarios import ScenarioSpec
 from .config import AlgorithmSpec, ExperimentPlan
@@ -67,6 +68,26 @@ def _reject_unknown(data: Mapping[str, Any], allowed: Sequence[str], context: st
 
 def _as_path_text(value: "str | Path | None") -> str | None:
     return None if value is None else str(value)
+
+
+def _refuse_non_finite(value: Any, path: str) -> None:
+    """Refuse NaN and ±inf anywhere in a spec dict, naming where it sits."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{path} must be a finite number, got {value}")
+    if isinstance(value, Mapping):
+        for key, item in value.items():
+            _refuse_non_finite(item, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _refuse_non_finite(item, f"{path}[{index}]")
+
+
+#: What the nested ``from_dict`` calls raise on JSON of the wrong shape: a
+#: missing key, a value of the wrong type, a non-numeric string, a short
+#: list, an infinite integer, a scenario the simulator refuses.
+_MALFORMED = (
+    AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError, ReproError
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -113,8 +134,14 @@ class WorkloadSpec:
             throughputs = tuple(float(rho) for rho in self.target_throughputs)
             if not throughputs:
                 raise ConfigurationError("target_throughputs must not be empty")
+            if any(rho <= 0 for rho in throughputs):
+                raise ConfigurationError(
+                    f"target_throughputs must be positive, got {throughputs}"
+                )
             object.__setattr__(self, "target_throughputs", throughputs)
         object.__setattr__(self, "base_seed", int(self.base_seed))
+        if self.base_seed < 0:
+            raise ConfigurationError(f"base_seed must be >= 0, got {self.base_seed}")
 
     @property
     def resolved_num_configurations(self) -> int:
@@ -445,7 +472,7 @@ class ValidationSpec:
             else [scenario.as_dict() for scenario in self.scenarios],
         }
         # omitted when default so pre-screen study fingerprints are unchanged
-        if self.screen != "none":
+        if self.screen != "none" or self.screen_threshold != 0.85:
             data["screen"] = self.screen
             data["screen_threshold"] = self.screen_threshold
         return data
@@ -564,6 +591,7 @@ class StudySpec:
                     f"validation algorithms filter names {unknown}, which the "
                     f"study does not sweep (algorithms: {sorted(swept)})"
                 )
+        _refuse_non_finite(self.as_dict(), "")
 
     # -- derived plans --------------------------------------------------- #
     @property
@@ -608,25 +636,32 @@ class StudySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StudySpec":
-        _reject_unknown(data, cls._FIELDS, "study spec")
-        for key in ("name", "workload", "algorithms"):
-            if key not in data:
-                raise ConfigurationError(f"study spec is missing the {key!r} field")
-        validation = data.get("validation")
-        execution = data.get("execution")
-        return cls(
-            name=str(data["name"]),
-            workload=WorkloadSpec.from_dict(data["workload"]),
-            algorithms=tuple(
-                algorithm_spec_from_dict(entry) for entry in data["algorithms"]
-            ),
-            execution=ExecutionSpec()
-            if execution is None
-            else ExecutionSpec.from_dict(execution),
-            validation=None if validation is None else ValidationSpec.from_dict(validation),
-            series=str(data.get("series", "normalized_cost")),
-            description=str(data.get("description", "")),
-        )
+        """Deserialise a spec (strict); malformed data raises one ConfigurationError."""
+        try:
+            _reject_unknown(data, cls._FIELDS, "study spec")
+            for key in ("name", "workload", "algorithms"):
+                if key not in data:
+                    raise ConfigurationError(f"study spec is missing the {key!r} field")
+            validation = data.get("validation")
+            execution = data.get("execution")
+            return cls(
+                name=str(data["name"]),
+                workload=WorkloadSpec.from_dict(data["workload"]),
+                algorithms=tuple(
+                    algorithm_spec_from_dict(entry) for entry in data["algorithms"]
+                ),
+                execution=ExecutionSpec()
+                if execution is None
+                else ExecutionSpec.from_dict(execution),
+                validation=None if validation is None else ValidationSpec.from_dict(validation),
+                series=str(data.get("series", "normalized_cost")),
+                description=str(data.get("description", "")),
+            )
+        except ConfigurationError:
+            raise
+        except _MALFORMED as exc:
+            detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ConfigurationError(f"study spec is malformed: {detail}") from None
 
     def to_json(self, path: "str | Path") -> Path:
         """Write the spec as an indented, reviewable ``study.json``."""
@@ -650,11 +685,8 @@ class StudySpec:
             raise ConfigurationError(f"{path} does not hold a JSON object")
         try:
             return cls.from_dict(data)
-        except (TypeError, ValueError) as exc:
-            # bare coercions (int("four"), tuple(3), ...) on wrong-typed JSON
-            # values must surface as the same clean error the CLI prints for
-            # unknown fields, not as a traceback
-            raise ConfigurationError(f"{path} holds an invalid study spec: {exc}") from exc
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path} holds an invalid study spec: {exc}") from None
 
     def fingerprint(self) -> str:
         """See :func:`study_fingerprint`."""

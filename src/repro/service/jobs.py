@@ -220,12 +220,19 @@ class JobManager:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.store_root = Path(store_root)
-        self.store_root.mkdir(parents=True, exist_ok=True)
-        self.workers = workers
-        self.validation_shards = validation_shards
-        self.memo_path = (
-            Path(memo_path) if memo_path is not None else self.store_root / "result-memo.jsonl"
+        if memo_path is None:
+            memo_path = self.store_root / "result-memo.jsonl"
+        # every job runs with this execution, rebound to its own store_dir;
+        # building it here refuses bad settings before the service starts
+        self._execution = ExecutionSpec(
+            workers=workers,
+            store_dir=str(self.store_root / "studies"),
+            validation_shards=validation_shards,
+            resume=True,
+            memo=True,
+            memo_path=str(memo_path),
         )
+        self.store_root.mkdir(parents=True, exist_ok=True)
         self.metrics = metrics
         self.journal = JobJournalStore(self.store_root / "jobs.jsonl")
         self._jobs: dict[str, Job] = {}
@@ -337,14 +344,10 @@ class JobManager:
         it follows the submission.
         """
         assert job.spec is not None  # refused journal entries never execute
-        execution = ExecutionSpec(
-            workers=self.workers,
+        execution = replace(
+            self._execution,
             store_dir=str(job.store_dir),
-            validation_shards=self.validation_shards,
-            resume=True,
             capture_allocations=job.spec.capture_allocations,
-            memo=True,
-            memo_path=str(self.memo_path),
         )
         return replace(job.spec, execution=execution)
 

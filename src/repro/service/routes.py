@@ -90,7 +90,7 @@ class Router:
             raise BadRequest("body must be a JSON object (a serialised StudySpec)")
         try:
             spec = StudySpec.from_dict(data)
-        except (ConfigurationError, TypeError, ValueError) as exc:
+        except ConfigurationError as exc:
             raise BadRequest(f"invalid study spec: {exc}") from None
         job, created = self.manager.submit(spec)
         payload = job.describe()

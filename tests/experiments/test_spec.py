@@ -1,11 +1,13 @@
 """Tests for the declarative study layer (spec round-trips + the Study facade)."""
 
 import json
+import math
+import re
 from dataclasses import replace
 
 import pytest
 
-from repro.api import Study, StudyBuilder
+from repro.api import Study
 from repro.core import ConfigurationError
 from repro.experiments.spec import (
     ExecutionSpec,
@@ -174,6 +176,70 @@ class TestStrictness:
         with pytest.raises(ConfigurationError, match="not valid JSON"):
             StudySpec.from_json(path)
 
+    @pytest.mark.parametrize(
+        "section, field, value, where",
+        [
+            pytest.param("validation", "horizons", [math.inf], "validation.horizons[0]",
+                         id="horizon-inf"),
+            pytest.param("validation", "rate_multipliers", [1.0, math.nan],
+                         "validation.rate_multipliers[1]", id="multiplier-nan"),
+            pytest.param("workload", "target_throughputs", [math.nan],
+                         "workload.target_throughputs[0]", id="throughput-nan"),
+            pytest.param("workload", "target_throughputs", [math.inf],
+                         "workload.target_throughputs[0]", id="throughput-inf"),
+            pytest.param("validation", "scenarios",
+                         [{"name": "b", "arrival": {"kind": "bursty", "on": math.inf}}],
+                         "validation.scenarios[0].arrival.on", id="bursty-on-inf"),
+            pytest.param("validation", "scenarios", [{"name": "s", "slowdowns": [[1, math.nan]]}],
+                         "validation.scenarios[0].slowdowns[0][1]", id="slowdown-nan"),
+            pytest.param("validation", "scenarios",
+                         [{"name": "f", "failures": [{"type": 1, "start": math.nan,
+                                                      "duration": 2}]}],
+                         "validation.scenarios[0].failures[0].start", id="failure-start-nan"),
+        ],
+    )
+    def test_non_finite_numbers_rejected_naming_their_path(self, section, field, value, where):
+        data = tiny_spec().as_dict()
+        data[section][field] = value
+        with pytest.raises(ConfigurationError, match=re.escape(where) + " must be a finite"):
+            StudySpec.from_dict(data)
+
+    def test_non_finite_algorithm_parameter_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"algorithms\[2\]\.params\.delta"):
+            tiny_spec(algorithms=(
+                AlgorithmSpec("ILP"), AlgorithmSpec("H1"),
+                AlgorithmSpec("H2", {"iterations": 40, "delta": math.inf}, seed_sensitive=True),
+            ))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("target_throughputs", (-5,), "target_throughputs must be positive"),
+            ("target_throughputs", (60, 0), "target_throughputs must be positive"),
+            ("base_seed", -1, "base_seed must be >= 0"),
+        ],
+    )
+    def test_workload_refuses_values_a_run_would_fail_on(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            WorkloadSpec(setting="small", **{field: value})
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            pytest.param({"name": "s", "arrival": 5}, "has no attribute", id="arrival-not-a-dict"),
+            pytest.param({"name": "s", "failures": [{"start": 0, "duration": 1}]},
+                         "missing field 'type'", id="failure-without-type"),
+            pytest.param({"name": "s", "arrival": {"kind": "nope"}},
+                         "unknown arrival process kind", id="unknown-arrival-kind"),
+        ],
+    )
+    def test_malformed_nested_data_is_one_configuration_error(self, scenario, message):
+        data = tiny_spec().as_dict()
+        data["validation"]["scenarios"] = [scenario]
+        with pytest.raises(ConfigurationError, match=message) as info:
+            StudySpec.from_dict(data)
+        assert "\n" not in str(info.value)
+
     def test_wrong_typed_study_json_values_are_clean_errors(self, tmp_path):
         # bare int()/float() coercions on junk must not escape as tracebacks
         for patch in ({"execution": {"workers": "four"}},
@@ -226,22 +292,6 @@ class TestStudyPipeline:
         result = Study.from_spec(tiny_spec(validation=None)).run()
         assert result.campaign is None
         assert all(record.allocation is None for record in result.sweep.records)
-
-    def test_builder_equals_spec_construction(self):
-        built = (
-            Study.builder("tiny")
-            .workload("small", configurations=1, throughputs=(60,))
-            .algorithm("ILP")
-            .algorithm("H1")
-            .algorithm("H2", iterations=40)
-            .validation(horizons=(6.0,), rate_multipliers=(1.0,))
-            .build()
-        )
-        assert built == tiny_spec()
-
-    def test_builder_rejects_misspelled_option(self):
-        with pytest.raises(ConfigurationError, match="iteration"):
-            StudyBuilder("bad").workload("small").algorithm("H2", iteration=40)
 
     def test_manifest_ties_checkpoints_to_the_study(self, tmp_path):
         spec = tiny_spec(execution=ExecutionSpec(store_dir=str(tmp_path / "runs")))
@@ -312,6 +362,9 @@ class TestScreenSpec:
         data = spec.validation.as_dict()
         assert data["screen"] == "fluid"
         assert data["screen_threshold"] == 0.75
+        # a threshold set without a screen is serialised too, not dropped
+        unscreened = tiny_spec(validation=ValidationSpec(screen_threshold=0.75))
+        assert StudySpec.from_dict(unscreened.as_dict()) == unscreened
 
     def test_default_screen_serialises_without_fields(self):
         data = ValidationSpec().as_dict()

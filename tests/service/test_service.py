@@ -9,6 +9,7 @@ with the right status code.
 """
 
 import json
+import math
 import os
 import re
 import signal
@@ -28,6 +29,7 @@ from repro.api import Study
 from repro.core import ConfigurationError
 from repro.experiments.spec import StudySpec, study_fingerprint
 from repro.service import (
+    BadRequest,
     JobJournalStore,
     JobManager,
     Router,
@@ -204,6 +206,42 @@ class TestEndpoints:
         assert "\n" not in payload["message"]
         assert service.manager.list_jobs() == []
         assert service.manager.journal.load() == []
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            pytest.param("validation", "horizons", [math.inf], id="horizon-inf"),
+            pytest.param("validation", "rate_multipliers", [math.inf], id="multiplier-inf"),
+            pytest.param("workload", "target_throughputs", [math.nan], id="throughput-nan"),
+            pytest.param("workload", "target_throughputs", [math.inf], id="throughput-inf"),
+            pytest.param("workload", "target_throughputs", [-5], id="throughput-negative"),
+            pytest.param("workload", "base_seed", -1, id="base-seed-negative"),
+            pytest.param("validation", "scenarios", [{"name": "s", "arrival": 5}],
+                         id="arrival-not-a-dict"),
+            pytest.param("validation", "scenarios",
+                         [{"name": "s", "failures": [{"start": 0, "duration": 1}]}],
+                         id="failure-without-type"),
+            pytest.param("validation", "scenarios",
+                         [{"name": "s", "arrival": {"kind": "nope"}}], id="unknown-arrival"),
+        ],
+    )
+    def test_malformed_or_non_finite_spec_is_a_bad_request(self, tmp_path, section, field, value):
+        # the body parses as JSON (Python's json reads Infinity and NaN), so
+        # only the spec can refuse it: 400 in one line, no job, no journal line
+        manager = JobManager(tmp_path / "state", jobs=1)
+        try:
+            manager._stopping.set()  # a study accepted by mistake must not run
+            data = tiny_spec_dict()
+            data[section][field] = value
+            with pytest.raises(BadRequest, match="invalid study spec") as info:
+                Router(manager, ServiceMetrics()).dispatch(
+                    "POST", "/v1/studies", json.dumps(data).encode()
+                )
+            assert "\n" not in str(info.value)
+            assert manager.list_jobs() == []
+            assert manager.journal.load() == []
+        finally:
+            manager.shutdown()
 
     def test_trailing_slash_and_query_string_are_tolerated(self, service):
         assert request(service, "GET", "/healthz/")[0] == 200
@@ -429,6 +467,12 @@ class TestManagerConfig:
     def test_invalid_job_count_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="jobs"):
             JobManager(tmp_path / "state", jobs=0)
+
+    @pytest.mark.parametrize("setting", ["workers", "validation_shards"])
+    def test_invalid_execution_settings_rejected_at_construction(self, tmp_path, setting):
+        with pytest.raises(ConfigurationError, match=f"{setting} must be >= 1"):
+            JobManager(tmp_path / "state", jobs=1, **{setting: 0})
+        assert not (tmp_path / "state").exists()
 
     def test_dedup_ignores_execution_and_name_details(self, tmp_path):
         manager = JobManager(tmp_path / "state", jobs=1)

@@ -53,6 +53,21 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --chunk-policy adaptive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--workers", "--validation-shards"])
+    def test_serve_refuses_bad_execution_settings_before_binding(
+        self, capsys, tmp_path, monkeypatch, flag
+    ):
+        import repro.service.server as server
+
+        def bind(*_args, **_kwargs):
+            raise AssertionError("serve bound a port despite a setting every job fails on")
+
+        monkeypatch.setattr(server, "StudyService", bind)
+        argv = ["serve", "--store-root", str(tmp_path / "state"), "--port", "0", flag, "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "must be >= 1" in err
+
     def test_serve_requires_store_root(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
@@ -278,6 +293,25 @@ class TestCommands:
             assert code == 2, extra
             assert message in capsys.readouterr().err, extra
 
+    def test_validate_rejects_non_finite_values(self, capsys, tmp_path):
+        sweep_file = tmp_path / "sweep.jsonl"
+        assert main(_tiny_figure_args(sweep_file)) == 0
+        capsys.readouterr()
+        cases = [
+            # --max-datasets bounds the run, should an infinite horizon slip through
+            (["--horizons", "inf", "--max-datasets", "5"], "validation.horizons[0]", "inf"),
+            (["--multipliers", "nan"], "validation.rate_multipliers[0]", "nan"),
+            (["--arrival", "bursty:on=inf"], "validation.scenarios[0].arrival.on", "inf"),
+            (["--arrival", "bursty:off=nan"], "validation.scenarios[0].arrival.off", "nan"),
+            (["--slowdown", "1=nan"], "validation.scenarios[0].slowdowns[0][1]", "nan"),
+            (["--fail", "1:nan:2"], "validation.scenarios[0].failures[0].start", "nan"),
+        ]
+        for extra, where, value in cases:
+            code = main(["validate", str(sweep_file), "--horizons", "6", "--quiet"] + extra)
+            err = capsys.readouterr().err
+            assert code == 2, extra
+            assert err == f"error: {where} must be a finite number, got {value}\n"
+
     def test_validate_rejects_empty_algorithms(self, capsys, tmp_path):
         sweep_file = tmp_path / "sweep.jsonl"
         sweep_file.write_text("{}\n")
@@ -327,6 +361,9 @@ class TestCommands:
                 ["figure", "figure3", "--configurations", "1", "--throughputs", "0"],
                 id="figure-throughput-0",
             ),
+            pytest.param(["solve", "--setting", "small", "--seed", "-1"],
+                         id="solve-negative-seed"),
+            pytest.param(["table3", "--seed", "-1"], id="table3-negative-seed"),
         ],
     )
     def test_bad_input_is_one_error_line(self, capsys, argv):
@@ -565,6 +602,28 @@ class TestRunCommand:
         study.write_text(json.dumps(data))
         assert main(["run", str(study), "--quiet"]) == 2
         assert "invalid study spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param({"name": "s", "arrival": 5}, id="arrival-not-a-dict"),
+            pytest.param({"name": "s", "failures": [{"start": 0, "duration": 1}]},
+                         id="failure-without-type"),
+            pytest.param({"name": "s", "arrival": {"kind": "nope"}}, id="unknown-arrival"),
+        ],
+    )
+    def test_run_malformed_nested_spec_is_one_error_line(self, capsys, tmp_path, scenario):
+        import json
+
+        study = tmp_path / "study.json"
+        data = _tiny_study_dict(tmp_path / "s.jsonl", tmp_path / "c.jsonl")
+        data["validation"]["scenarios"] = [scenario]
+        study.write_text(json.dumps(data))
+        assert main(["run", str(study), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "invalid study spec" in err
+        assert not (tmp_path / "s.jsonl").exists()
 
     def test_run_missing_spec_is_clean_error(self, capsys, tmp_path):
         assert main(["run", str(tmp_path / "nope.json"), "--quiet"]) == 2
