@@ -3,13 +3,12 @@
 Exercises the full ``repro-cloud serve`` stack as a real subprocess and
 records wall-clock into ``BENCH_service.json``:
 
-* **reference** — the study spec run locally, serial, single-store: the
-  identity baseline;
-* **http** — the same spec POSTed to a served instance (sharded validation
-  store, ``--validation-shards``), with concurrent duplicate submissions:
-  asserts exactly one execution, and that the served campaign records are
-  **byte-identical** to the local run (sweep records compared on identity,
-  the wall-clock-free criterion);
+* **reference** — the study spec run locally and serially: the identity
+  baseline;
+* **http** — the same spec POSTed to a served instance, with concurrent
+  duplicate submissions: asserts exactly one execution, and that the served
+  campaign records are **byte-identical** to the local run (sweep records
+  compared on identity, the wall-clock-free criterion);
 * **resume** — a second server is SIGTERMed mid-campaign (graceful drain:
   in-flight units checkpoint before exit) and restarted over the same store
   root: the journal re-submits the job, the checkpoints resume it, and the
@@ -116,7 +115,6 @@ class ServerProcess:
         *,
         jobs: int = 2,
         workers: "int | None" = None,
-        validation_shards: "int | None" = None,
         memo_path: "Path | None" = None,
     ) -> None:
         command = [
@@ -125,8 +123,6 @@ class ServerProcess:
         ]
         if workers:
             command += ["--workers", str(workers)]
-        if validation_shards:
-            command += ["--validation-shards", str(validation_shards)]
         if memo_path is not None:
             command += ["--memo-path", str(memo_path)]
         self.process = subprocess.Popen(
@@ -176,13 +172,11 @@ def wait_for_state(server: ServerProcess, job_id: str, states, timeout: float = 
 
 
 def phase_http(spec, root: Path, workers: int, reference) -> dict:
-    """Cold HTTP run with concurrent duplicate submissions against shards."""
+    """Cold HTTP run with concurrent duplicate submissions."""
     body = json.dumps(spec.as_dict()).encode("utf-8")
     ref_sweep, ref_campaign = reference
     t0 = time.perf_counter()
-    server = ServerProcess(
-        root / "state-http", workers=workers, validation_shards=2
-    )
+    server = ServerProcess(root / "state-http", workers=workers)
     try:
         responses: list = []
 
@@ -224,7 +218,7 @@ def phase_resume(spec, root: Path, workers: int, reference) -> dict:
     ref_sweep, ref_campaign = reference
     store_root = root / "state-resume"
     t0 = time.perf_counter()
-    first = ServerProcess(store_root, workers=workers, validation_shards=2)
+    first = ServerProcess(store_root, workers=workers)
     _, submitted = http("POST", first.url("/v1/studies"), body)
     job_id = submitted["id"]
     # pull the trigger as soon as durable progress exists, so the drain
@@ -241,7 +235,7 @@ def phase_resume(spec, root: Path, workers: int, reference) -> dict:
     interrupted_midway = payload["state"] in ("queued", "running")
     exit_code = first.terminate()
 
-    second = ServerProcess(store_root, workers=workers, validation_shards=2)
+    second = ServerProcess(store_root, workers=workers)
     try:
         final = wait_for_state(second, job_id, ("done", "failed"))
         seconds = time.perf_counter() - t0
@@ -269,9 +263,7 @@ def phase_warm(spec, root: Path, workers: int, reference) -> dict:
     ref_sweep, ref_campaign = reference
     memo_path = root / "state-http" / "result-memo.jsonl"
     t0 = time.perf_counter()
-    server = ServerProcess(
-        root / "state-warm", workers=workers, validation_shards=2, memo_path=memo_path
-    )
+    server = ServerProcess(root / "state-warm", workers=workers, memo_path=memo_path)
     try:
         _, submitted = http("POST", server.url("/v1/studies"), body)
         final = wait_for_state(server, submitted["id"], ("done", "failed"))

@@ -52,7 +52,7 @@ from .core.exceptions import ConfigurationError
 from .experiments.metrics import SERIES, SeriesByAlgorithm
 from .experiments.runner import SweepResult, run_plan
 from .experiments.spec import StudySpec, study_fingerprint
-from .experiments.store import ShardedStore, shard_paths
+from .experiments.store import SweepStore, as_store
 from .experiments.validation import CampaignResult, ValidationStore, run_validation
 
 __all__ = ["Study", "StudyResult"]
@@ -140,17 +140,10 @@ class Study:
         if resume is None:
             resume = execution.resume
         backend = execution.build_backend()
-        sweep_store = self.sweep_store_path
-        validation_store = self.validation_store_path
-        if execution.validation_shards is not None:
-            # the spec asks for a multi-writer campaign checkpoint: one
-            # store file per shard under the derived directory, merged on
-            # load byte-identically to a single-store run
-            validation_store = ShardedStore(
-                validation_store,
-                store_type=ValidationStore,
-                shards=execution.validation_shards,
-            )
+        # built before any stage runs, so a directory given as a checkpoint
+        # is refused before the sweep spends any time
+        sweep_store = as_store(self.sweep_store_path, SweepStore)
+        validation_store = as_store(self.validation_store_path, ValidationStore)
         if resume and sweep is None and sweep_store is None and validation_store is None:
             raise ConfigurationError(
                 "resume=True requires a checkpoint location (store_dir, "
@@ -225,12 +218,6 @@ class Study:
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _existing(store: "Path | ShardedStore | None") -> bool:
-    """Whether a store location holds a checkpoint to resume from."""
-    if store is None:
-        return False
-    if isinstance(store, ShardedStore):
-        # the root directory existing is not enough — resume needs at least
-        # one shard checkpoint to pick up from
-        return bool(shard_paths(store.path))
-    return store.exists()
+def _existing(store: "SweepStore | ValidationStore | None") -> bool:
+    """Whether a store holds a checkpoint to resume from."""
+    return store is not None and store.path.exists()

@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(validation campaign)",
     )
     p_val.add_argument("sweep", type=Path,
-                       help="sweep checkpoint JSONL file or shard directory (written by "
+                       help="sweep checkpoint JSONL file (written by "
                             "'figure --out ... --capture-allocations')")
     p_val.add_argument("--horizons", type=float, nargs="+", default=[50.0],
                        help="simulated durations (time units) per allocation")
@@ -208,9 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "over --workers processes)")
     p_serve.add_argument("--workers", type=int, default=None,
                          help="process-pool width per job (default: serial)")
-    p_serve.add_argument("--validation-shards", type=int, default=None, metavar="N",
-                         help="checkpoint each campaign into N writer-safe shard "
-                              "stores (merged byte-identically on load)")
     p_serve.add_argument("--memo-path", type=Path, default=None, metavar="FILE",
                          help="shared result-memo cache "
                               "(default: <store-root>/result-memo.jsonl)")
@@ -643,7 +640,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         jobs=args.jobs,
         workers=args.workers,
-        validation_shards=args.validation_shards,
         memo_path=args.memo_path,
         request_timeout=args.request_timeout,
     )

@@ -56,9 +56,7 @@ __all__ = [
 ]
 
 
-def make_backend(
-    workers: int | None, *, mp_context: str | None = None
-) -> "ExecutionBackend | None":
+def make_backend(workers: int | None) -> "ExecutionBackend | None":
     """The backend a worker count asks for (the CLI/spec convention).
 
     ``None`` means "caller's default" (the drivers fall back to a fresh
@@ -72,7 +70,7 @@ def make_backend(
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if workers == 1:
         return SerialBackend()
-    return ProcessPoolBackend(workers, mp_context=mp_context)
+    return ProcessPoolBackend(workers)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +108,7 @@ class WorkUnit:
         )
 
     def execute(
-        self, plan: ExperimentPlan, *, check: bool = False, capture_allocations: bool = False
+        self, plan: ExperimentPlan, *, capture_allocations: bool = False
     ) -> list[RunRecord]:
         """Run this unit against its plan (worker-process entry point).
 
@@ -128,7 +126,6 @@ class WorkUnit:
                 plan.algorithms,
                 self.throughputs,
                 base_seed=plan.base_seed,
-                check=check,
                 capture_allocations=capture_allocations,
             )
         )
@@ -193,8 +190,8 @@ class ExecutionBackend(Protocol):
     """Executes work units, streaming ``(unit, records)`` as units complete.
 
     ``options`` are the driver's execution options, passed through verbatim
-    to every ``unit.execute(plan, **options)`` call (``check`` and
-    ``capture_allocations`` for a sweep, none for a campaign).
+    to every ``unit.execute(plan, **options)`` call (``capture_allocations``
+    for a sweep, none for a campaign).
     """
 
     def run(
@@ -216,8 +213,8 @@ class ProcessPoolBackend:
 
     Results are yielded in completion order (so checkpointing and progress
     track real progress); the driver reassembles them in canonical unit
-    order.  ``max_pending`` bounds the number of in-flight task submissions
-    so a 100-configuration sweep does not queue every unit up front.
+    order.  At most ``4 * workers`` tasks are in flight, so a
+    100-configuration sweep does not queue every unit up front.
 
     Worker state is persistent: the plan and the full unit list ship once per
     worker process (pool initializer), each submitted task is a bare unit
@@ -228,31 +225,18 @@ class ProcessPoolBackend:
     (where available) with this module preloaded, so worker processes fork
     from a small warmed-up server instead of the full driver process.  Only
     the first pool of a process pays the server's start-up; later pools
-    reuse the running server.  ``mp_context`` overrides the method
-    explicitly.
+    reuse the running server.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        mp_context: str | None = None,
-        max_pending: int | None = None,
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.mp_context = mp_context
-        self.max_pending = max_pending if max_pending is not None else 4 * self.workers
-        if self.max_pending < 1:
-            raise ConfigurationError(f"max_pending must be >= 1, got {self.max_pending}")
 
     def _context(self):
         import multiprocessing
         import sys
 
-        if self.mp_context:
-            return multiprocessing.get_context(self.mp_context)
         methods = multiprocessing.get_all_start_methods()
         # forkserver (like spawn) re-imports __main__ in the server; a driver
         # run from stdin / `python -c` / a REPL has no importable main module,
@@ -291,7 +275,7 @@ class ProcessPoolBackend:
         try:
             pending = {}
             position = 0
-            while position < len(queue) and len(pending) < self.max_pending:
+            while position < len(queue) and len(pending) < 4 * self.workers:
                 pending[submit(position)] = queue[position]
                 position += 1
             while pending:

@@ -57,7 +57,7 @@ except ImportError:  # non-POSIX platform: appends stay unlocked, as before
     fcntl = None  # type: ignore[assignment]
 
 from ..core.exceptions import ConfigurationError
-from ..io import append_jsonl, read_jsonl
+from ..io import MALFORMED_ROW_ERRORS, append_jsonl, malformed_row, read_jsonl
 from ..utils.rng import stable_text_digest
 
 __all__ = [
@@ -169,7 +169,16 @@ class ResultMemoStore:
                         f"{self.path} line {number} is not a memo entry; "
                         f"refusing to use the file as a result cache"
                     )
-                entries[(str(row["study"]), str(row["cell"]))] = list(row["records"])
+                try:
+                    key = (str(row["study"]), str(row["cell"]))
+                    records = row["records"]
+                    if not isinstance(records, list) or not all(
+                        isinstance(record, dict) for record in records
+                    ):
+                        raise TypeError("records is not a list of objects")
+                except MALFORMED_ROW_ERRORS as exc:
+                    raise malformed_row(self.path, number, exc, "memo") from None
+                entries[key] = records
         self._entries = entries
         return entries
 

@@ -33,7 +33,7 @@ from .config import AlgorithmSpec, ExperimentPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .backends import ExecutionBackend
-    from .store import ShardedStore, SweepStore
+    from .store import SweepStore
 
 __all__ = ["AllocationPayload", "RunRecord", "SweepResult", "run_plan", "run_configuration"]
 
@@ -271,12 +271,11 @@ class SweepResult:
     # ------------------------------------------------------------------ #
     @classmethod
     def load(cls, path: str | Path, *, allow_partial: bool = False) -> "SweepResult":
-        """Read the checkpoint a ``run_plan(store=...)`` wrote.
+        """Read the checkpoint file a ``run_plan(store=...)`` wrote.
 
-        ``path`` is a single checkpoint file or a directory of
-        ``shard-*.jsonl`` shard stores; records come back in canonical unit
-        order either way.  An incomplete checkpoint (fewer records than its
-        plan calls for) is refused unless ``allow_partial``.
+        Records come back in canonical unit order.  An incomplete checkpoint
+        (fewer records than its plan calls for) is refused unless
+        ``allow_partial``.
         """
         from .store import load_sweep_result
 
@@ -289,7 +288,6 @@ def run_configuration(
     target_throughputs: Iterable[float],
     *,
     base_seed: int = 2016,
-    check: bool = False,
     capture_allocations: bool = False,
 ) -> Iterator[RunRecord]:
     """Run every algorithm on one configuration for every target throughput.
@@ -310,7 +308,7 @@ def run_configuration(
                 stable_text_digest(spec.name, bits=16),
             )
             solver = spec.build(seed=seed)
-            result = solver.solve(problem, check=check)
+            result = solver.solve(problem, check=False)
             yield RunRecord(
                 configuration=configuration.index,
                 rho=float(rho),
@@ -325,15 +323,14 @@ def run_configuration(
             )
 
 
-def _sweep_memo_study_key(
-    plan: ExperimentPlan, *, check: bool, capture_allocations: bool
-) -> str:
+def _sweep_memo_study_key(plan: ExperimentPlan, *, capture_allocations: bool) -> str:
     """The memo-cache study fingerprint of a sweep.
 
     Hashes the workload setting, seeds and algorithm line-up (plus the
-    execution switches that change record content) while dropping the plan's
+    execution switch that changes record content) while dropping the plan's
     name and grid extents — so a renamed or widened sweep reuses the cells of
-    an earlier one.
+    an earlier one.  ``"check": False`` stays in the payload so that memos
+    written while the sweep still had a ``check`` switch keep hitting.
     """
     from .config import plan_to_dict
     from .memo import memo_key
@@ -345,7 +342,7 @@ def _sweep_memo_study_key(
         {
             "kind": "sweep",
             "plan": data,
-            "check": bool(check),
+            "check": False,
             "capture_allocations": bool(capture_allocations),
         }
     )
@@ -355,10 +352,9 @@ def run_plan(
     plan: ExperimentPlan,
     *,
     backend: "ExecutionBackend | None" = None,
-    store: "SweepStore | ShardedStore | str | Path | None" = None,
+    store: "SweepStore | str | Path | None" = None,
     resume: bool = False,
     progress: Callable[[str], None] | None = None,
-    check: bool = False,
     chunk_size: int | None = None,
     capture_allocations: bool = False,
     memo=None,
@@ -380,19 +376,14 @@ def run_plan(
         depends on how much CPU each worker gets (a ``RuntimeWarning`` is
         emitted for such plans).
     store:
-        Optional :class:`~repro.experiments.store.SweepStore` or
-        :class:`~repro.experiments.store.ShardedStore` checkpointing each
-        completed work unit to append-only JSONL; a path is a store file, an
-        existing directory a shard root (:func:`~repro.experiments.store.as_store`).
+        Optional :class:`~repro.experiments.store.SweepStore` (or its file
+        path) checkpointing each completed work unit to append-only JSONL.
     resume:
         With a store whose file already exists and matches the plan
         fingerprint, skip the work units it has already completed.
     progress:
         Optional callback invoked with a short message after each completed
         work unit (the CLI passes ``print``).
-    check:
-        Re-verify the feasibility of every returned allocation (slower; used
-        in integration tests).
     chunk_size:
         Number of throughputs per work unit (default: all of them, i.e. one
         unit per configuration, matching the paper's outer loop).
@@ -434,9 +425,7 @@ def run_plan(
         resume=resume,
         progress=progress,
         memo=memo,
-        study_key=_sweep_memo_study_key(
-            plan, check=check, capture_allocations=capture_allocations
-        ),
+        study_key=_sweep_memo_study_key(plan, capture_allocations=capture_allocations),
         cell_keys=lambda unit: [
             memo_key({"configuration": unit.configuration, "rho": float(rho)})
             for rho in unit.throughputs
@@ -446,6 +435,6 @@ def run_plan(
             f"configuration {unit.configuration + 1}/{plan.num_configurations}, "
             f"{len(records)} runs"
         ),
-        options={"check": check, "capture_allocations": capture_allocations},
+        options={"capture_allocations": capture_allocations},
     )
     return SweepResult(plan=plan, records=records, memo_stats=memo_stats)

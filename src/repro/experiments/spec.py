@@ -219,7 +219,6 @@ class ExecutionSpec:
     store_dir: str | None = None
     sweep_store: str | None = None
     validation_store: str | None = None
-    validation_shards: int | None = None
     resume: bool = False
     capture_allocations: bool = False
     memo: bool = False
@@ -231,7 +230,6 @@ class ExecutionSpec:
         "store_dir",
         "sweep_store",
         "validation_store",
-        "validation_shards",
         "resume",
         "capture_allocations",
         "memo",
@@ -247,12 +245,15 @@ class ExecutionSpec:
         "store_dir",
         "sweep_store",
         "validation_store",
-        "validation_shards",
         "resume",
         "capture_allocations",
         "memo",
         "memo_path",
     )
+    # removed fields that older versions wrote into every execution dict as
+    # null; a non-null value asks for a feature that no longer exists, so it
+    # stays an unknown-field error
+    _RETIRED = ("chunk_policy", "validation_shards")
 
     def __post_init__(self) -> None:
         if self.workers is not None:
@@ -267,17 +268,6 @@ class ExecutionSpec:
                 )
         for field_name in ("store_dir", "sweep_store", "validation_store", "memo_path"):
             object.__setattr__(self, field_name, _as_path_text(getattr(self, field_name)))
-        if self.validation_shards is not None:
-            object.__setattr__(self, "validation_shards", int(self.validation_shards))
-            if self.validation_shards < 1:
-                raise ConfigurationError(
-                    f"validation_shards must be >= 1, got {self.validation_shards}"
-                )
-            if not (self.store_dir or self.validation_store):
-                raise ConfigurationError(
-                    "validation_shards requires a validation store location "
-                    "(store_dir or validation_store) to shard into"
-                )
         object.__setattr__(self, "resume", bool(self.resume))
         object.__setattr__(self, "capture_allocations", bool(self.capture_allocations))
         object.__setattr__(self, "memo", bool(self.memo))
@@ -315,10 +305,6 @@ class ExecutionSpec:
         if self.validation_store is not None:
             return Path(self.validation_store)
         if self.store_dir is not None:
-            if self.validation_shards is not None:
-                # a sharded campaign checkpoints into a directory of
-                # shard-*.jsonl files, not a single store file
-                return Path(self.store_dir) / f"{study_name}-validation"
             return Path(self.store_dir) / f"{study_name}-validation.jsonl"
         return None
 
@@ -333,11 +319,9 @@ class ExecutionSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionSpec":
         fields = dict(data)
-        # older specs spell out a removed "chunk_policy" field as null; a
-        # non-null value asks for a sharding that no longer exists, so it
-        # stays an unknown-field error
-        if "chunk_policy" in fields and fields["chunk_policy"] is None:
-            del fields["chunk_policy"]
+        for name in cls._RETIRED:
+            if name in fields and fields[name] is None:
+                del fields[name]
         _reject_unknown(fields, cls._FIELDS, "execution spec")
         return cls(**fields)
 
@@ -674,9 +658,11 @@ class StudySpec:
     def from_json(cls, path: "str | Path") -> "StudySpec":
         path = Path(path)
         try:
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigurationError(f"cannot read study spec {path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from None
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -15,9 +15,8 @@ File format (one JSON object per line):
 
 Each appended line is flushed and fsynced, so a run killed mid-append loses
 at most the line being written; :func:`repro.io.read_jsonl` drops a truncated
-final line when loading a checkpoint.  :func:`load_checkpoint` reads a single
-file or a :class:`ShardedStore` directory; a completed checkpoint *is* the
-saved result.
+final line when loading a checkpoint.  A checkpoint is one file per stage
+(a directory is refused); a completed checkpoint *is* the saved result.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from pathlib import Path
 from typing import Mapping
 
 from ..core.exceptions import ConfigurationError
-from ..io import append_jsonl, read_jsonl
+from ..io import MALFORMED_ROW_ERRORS, append_jsonl, malformed_row, read_jsonl
 from .backends import WorkUnit
 from .config import ExperimentPlan, plan_from_dict, plan_to_dict
 from .runner import RunRecord, SweepResult
@@ -36,28 +35,11 @@ from .runner import RunRecord, SweepResult
 __all__ = [
     "plan_fingerprint",
     "JsonlCheckpointStore",
-    "ShardedStore",
     "SweepStore",
     "as_store",
     "load_checkpoint",
     "load_sweep_result",
-    "shard_paths",
 ]
-
-#: What a ``from_dict`` raises on a row of the wrong shape: a missing key, a
-#: value of the wrong type, a non-numeric string, a short list.
-_MALFORMED_ROW = (AttributeError, IndexError, KeyError, TypeError, ValueError)
-
-
-def _malformed_row(
-    path: Path, number: int, exc: Exception, kind: str = "unit"
-) -> ConfigurationError:
-    """The one-line error for a checkpoint row this version cannot parse."""
-    detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-    return ConfigurationError(
-        f"{path} line {number} is not a {kind} row this version can "
-        f"read ({detail}); refusing to load it"
-    )
 
 
 def plan_fingerprint(plan: ExperimentPlan) -> str:
@@ -77,6 +59,7 @@ class JsonlCheckpointStore:
     everything they share — the initialize/resume flow, checkpoint parsing,
     sharding verification, refusal to overwrite populated or foreign files,
     and pruning of a torn tail line before a resumed run appends past it.
+    The path names one file; a directory is refused when the store is built.
 
     ``data_description`` labels the file kind in error messages;
     ``store_marker`` is written to (and required of) the header's ``"store"``
@@ -94,6 +77,11 @@ class JsonlCheckpointStore:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        if self.path.is_dir():
+            raise ConfigurationError(
+                f"{self.path} is a directory; a {self.data_description} checkpoint "
+                f"is one JSONL file"
+            )
 
     # -- subclass hooks -------------------------------------------------- #
     @staticmethod
@@ -187,8 +175,8 @@ class JsonlCheckpointStore:
         try:
             stored_plan = self._plan_from_dict(header["plan"])
             fingerprint = str(header["fingerprint"])
-        except _MALFORMED_ROW as exc:
-            raise _malformed_row(self.path, 1, exc, "header") from None
+        except MALFORMED_ROW_ERRORS as exc:
+            raise malformed_row(self.path, 1, exc, "header") from None
         if plan is not None and fingerprint != self._fingerprint(plan):
             raise ConfigurationError(
                 f"{self.path} was written by a different {self.plan_noun} "
@@ -207,8 +195,8 @@ class JsonlCheckpointStore:
             try:
                 unit = self._unit_from_dict(row["unit"])
                 records = [self._record_from_dict(entry) for entry in row["records"]]
-            except _MALFORMED_ROW as exc:
-                raise _malformed_row(self.path, number, exc) from None
+            except MALFORMED_ROW_ERRORS as exc:
+                raise malformed_row(self.path, number, exc, "unit") from None
             completed[unit.index] = records
             stored_units[unit.index] = unit
         return stored_plan, completed, stored_units
@@ -344,139 +332,13 @@ class SweepStore(JsonlCheckpointStore):
     _record_from_dict = staticmethod(RunRecord.from_dict)
 
 
-_SHARD_PATTERN = "shard-*.jsonl"
-
-
-def shard_paths(root: Path) -> list[Path]:
-    """The shard checkpoint files under ``root``, in canonical (sorted) order."""
-    return sorted(Path(root).glob(_SHARD_PATTERN))
-
-
-class ShardedStore:
-    """A directory of per-shard checkpoint stores behind the single-store API.
-
-    Campaigns that fan out across processes or nodes cannot share one
-    append-only file (interleaved writers would tear lines); instead each
-    writer appends to its own :class:`JsonlCheckpointStore` under a common
-    directory — ``<root>/shard-0000.jsonl``, ``shard-0001.jsonl``, ... —
-    and :func:`load_checkpoint` merges the shards.  Every shard carries the
-    full fingerprinted header, so each file is independently resumable and a
-    foreign shard dropped into the directory is refused exactly like a
-    foreign single-store checkpoint.
-
-    The class duck-types the store interface the driver uses
-    (:meth:`initialize` / :meth:`append`, plus a ``path`` attribute for
-    messages), so :func:`~repro.experiments.backends.run_units` takes a
-    ``ShardedStore`` anywhere it takes a single store.  Units are routed to
-    shards by ``unit.index % shards``; merging is keyed by unit index with
-    first-shard-wins on duplicates, and the driver reassembles records in
-    canonical unit order — so a sharded run is byte-identical to a
-    single-store run of the same plan.
-
-    ``store_type`` is the single-store class to instantiate per shard
-    (:class:`SweepStore`, ``ValidationStore``); it is a constructor argument
-    rather than an import so this module never depends on the stores defined
-    elsewhere.
-    """
-
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        store_type: type[JsonlCheckpointStore],
-        shards: int | None = None,
-    ) -> None:
-        self.path = Path(root)
-        self.store_type = store_type
-        if shards is not None:
-            shards = int(shards)
-            if shards < 1:
-                raise ConfigurationError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
-
-    # ------------------------------------------------------------------ #
-    def _shard_path(self, shard: int) -> Path:
-        return self.path / f"shard-{shard:04d}.jsonl"
-
-    def _existing_shards(self) -> list[JsonlCheckpointStore]:
-        return [self.store_type(path) for path in shard_paths(self.path)]
-
-    def shard_for(self, index: int) -> JsonlCheckpointStore:
-        """The shard store a unit index routes to (``index % shards``)."""
-        if self.shards is None:
-            raise ConfigurationError(
-                f"{self.path}: shard count not yet resolved; initialize() the "
-                f"store before appending to it"
-            )
-        return self.store_type(self._shard_path(index % self.shards))
-
-    # -- the store interface the drivers use ---------------------------- #
-    def initialize(self, plan, *, resume: bool = False, units: list | None = None) -> dict:
-        """Prepare every shard for a run of ``plan``; return merged completed units.
-
-        Fresh: the directory is created and each of the ``shards`` files gets
-        a fingerprinted header (populated shard files are refused by the
-        underlying store, exactly like a populated single-store path).
-        Resume: every existing ``shard-*.jsonl`` is resumed through the
-        underlying store — fingerprint check, sharding check and torn-tail
-        repair per shard — their completed units merged first-shard-wins,
-        and any shard files the current shard count calls for but the
-        directory lacks are created fresh, so a run resumed with a wider
-        shard count just starts routing to the new files.
-        """
-        if resume:
-            existing = self._existing_shards()
-            if not existing:
-                raise ConfigurationError(
-                    f"{self.path} holds no shard checkpoints ({_SHARD_PATTERN}); "
-                    f"nothing to resume (check the path, or drop resume to start fresh)"
-                )
-            if self.shards is None:
-                self.shards = len(existing)
-            completed: dict[int, list] = {}
-            for shard in existing:
-                for index, records in shard.initialize(
-                    plan, resume=True, units=units
-                ).items():
-                    completed.setdefault(index, records)
-            for number in range(self.shards):
-                if not self._shard_path(number).exists():
-                    self.store_type(self._shard_path(number)).initialize(plan)
-            return completed
-        if self.shards is None:
-            raise ConfigurationError(
-                f"{self.path}: a fresh sharded checkpoint needs an explicit "
-                f"shard count (pass shards=N)"
-            )
-        stale = [path for path in shard_paths(self.path) if path not in
-                 {self._shard_path(number) for number in range(self.shards)}]
-        if stale:
-            raise ConfigurationError(
-                f"{self.path} already holds shard files beyond the requested "
-                f"{self.shards} shard(s) ({stale[0].name}, ...); resume the "
-                f"checkpoint, or delete the directory to start over"
-            )
-        self.path.mkdir(parents=True, exist_ok=True)
-        for number in range(self.shards):
-            self.store_type(self._shard_path(number)).initialize(plan)
-        return {}
-
-    def append(self, unit, records: list) -> None:
-        """Checkpoint one completed unit into its shard (durable append)."""
-        self.shard_for(unit.index).append(unit, records)
-
-
 def as_store(store, store_type: type[JsonlCheckpointStore]):
     """The store a driver's ``store`` argument names.
 
-    A directory path becomes a :class:`ShardedStore` of ``store_type`` shards
-    (resumable; a fresh sharded run needs an explicit shard count), any other
-    path a single ``store_type`` file; store objects and ``None`` pass
+    A path becomes a ``store_type`` file; store objects and ``None`` pass
     through unchanged.
     """
     if isinstance(store, (str, Path)):
-        if Path(store).is_dir():
-            return ShardedStore(store, store_type=store_type)
         return store_type(store)
     return store
 
@@ -484,36 +346,12 @@ def as_store(store, store_type: type[JsonlCheckpointStore]):
 def load_checkpoint(path: str | Path, store_type: type[JsonlCheckpointStore]) -> tuple:
     """Read a checkpoint: ``(plan, units, records)``, both in canonical unit order.
 
-    ``path`` is a single ``store_type`` file or a :class:`ShardedStore`
-    directory of ``shard-*.jsonl`` files.  Shards are merged under the plan
-    fingerprint of the first one — first shard wins on a duplicate unit, a
-    shard with a foreign fingerprint is refused — and the completed units and
-    their concatenated records come back in canonical unit order, so a
-    sharded checkpoint reads byte-identically to a single-file one.
     Completeness is the caller's check.
     """
-    path = Path(path)
-    if not path.exists():
+    store = store_type(path)
+    if not store.path.exists():
         raise ConfigurationError(f"{path} does not exist")
-    paths = shard_paths(path) if path.is_dir() else [path]
-    if not paths:
-        raise ConfigurationError(
-            f"{path} is a directory holding no shard checkpoints "
-            f"({_SHARD_PATTERN}); not a sharded {store_type.data_description} store"
-        )
-    plan = None
-    completed: dict[int, list] = {}
-    units: dict = {}
-    for shard in paths:
-        # passing the first shard's plan makes _load_checkpoint refuse any
-        # shard with a foreign fingerprint — one directory, one run
-        shard_plan, shard_completed, shard_units = store_type(shard)._load_checkpoint(plan)
-        if plan is None:
-            plan = shard_plan
-        for index, records in shard_completed.items():
-            if index not in completed:
-                completed[index] = records
-                units[index] = shard_units[index]
+    plan, completed, units = store._load_checkpoint(None)
     order = sorted(completed)
     return plan, [units[index] for index in order], [
         record for index in order for record in completed[index]
@@ -521,7 +359,7 @@ def load_checkpoint(path: str | Path, store_type: type[JsonlCheckpointStore]) ->
 
 
 def load_sweep_result(path: str | Path, *, allow_partial: bool = False) -> SweepResult:
-    """Read a sweep checkpoint (a file or a shard directory) as a result.
+    """Read a sweep checkpoint file as a result.
 
     A checkpoint holding fewer records than its header's plan calls for (an
     interrupted, never-resumed sweep) is refused unless ``allow_partial`` —

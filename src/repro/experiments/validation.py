@@ -75,7 +75,7 @@ from .config import ExperimentPlan, plan_from_dict, plan_to_dict
 from .memo import MemoStats, ResultMemoStore, memo_key
 from .metrics import SeriesByAlgorithm
 from .runner import RHO_ABS_TOL, RHO_REL_TOL, AllocationPayload, SweepResult
-from .store import JsonlCheckpointStore, ShardedStore, as_store, load_checkpoint
+from .store import JsonlCheckpointStore, as_store, load_checkpoint
 
 __all__ = [
     "AllocationSource",
@@ -1077,10 +1077,9 @@ class ValidationStore(JsonlCheckpointStore):
 
 
 def load_campaign(path: str | Path, *, allow_partial: bool = False) -> CampaignResult:
-    """Load a campaign checkpoint: a single file or a shard directory.
+    """Load a campaign checkpoint file.
 
-    Reads through :func:`~repro.experiments.store.load_checkpoint`, so a
-    merged sharded campaign is byte-identical to a single-store one.  A
+    Reads through :func:`~repro.experiments.store.load_checkpoint`.  A
     checkpoint holding fewer records than its plan calls for (an
     interrupted, never-resumed campaign) is refused unless ``allow_partial``.
     """
@@ -1171,7 +1170,7 @@ def run_validation(
     plan: ValidationPlan,
     *,
     backend=None,
-    store: "ValidationStore | ShardedStore | str | Path | None" = None,
+    store: "ValidationStore | str | Path | None" = None,
     resume: bool = False,
     progress: Callable[[str], None] | None = None,
     chunk_size: int | None = None,
@@ -1186,11 +1185,11 @@ def run_validation(
     :class:`~repro.experiments.backends.ExecutionBackend` (serial by default,
     pass a :class:`~repro.experiments.backends.ProcessPoolBackend` to
     parallelise), optionally checkpointed per unit into a
-    :class:`ValidationStore` (or a :class:`ShardedStore`; a directory path
-    is a shard root) and resumable with ``resume=True``.  Records are
-    reassembled in the canonical order (horizon, multiplier, scenario,
-    configuration, source), so unit shape, backend choice and completion
-    order never change the result — the simulation itself is deterministic.
+    :class:`ValidationStore` (or its file path) and resumable with
+    ``resume=True``.  Records are reassembled in the canonical order
+    (horizon, multiplier, scenario, configuration, source), so unit shape,
+    backend choice and completion order never change the result — the
+    simulation itself is deterministic.
 
     ``chunk_size`` caps the sources per unit (see
     :func:`plan_validation_units`); record bytes are identical for any value,

@@ -33,7 +33,9 @@ from .core.problem import MinCostProblem
 from .core.task import Task
 
 __all__ = [
+    "MALFORMED_ROW_ERRORS",
     "append_jsonl",
+    "malformed_row",
     "read_jsonl",
     "application_to_dict",
     "application_from_dict",
@@ -53,7 +55,7 @@ _SCHEMA_VERSION = 1
 
 
 # --------------------------------------------------------------------------- #
-# JSONL primitives (used by the sweep checkpoint store)
+# JSONL primitives (used by the checkpoint, memo and job-journal stores)
 # --------------------------------------------------------------------------- #
 
 
@@ -80,7 +82,10 @@ def read_jsonl(path: str | Path, *, ignore_truncated: bool = False) -> list[Any]
     """
     path = Path(path)
     rows: list[Any] = []
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not UTF-8 text: {exc}") from None
     for number, line in enumerate(lines):
         if not line.strip():
             continue
@@ -91,6 +96,20 @@ def read_jsonl(path: str | Path, *, ignore_truncated: bool = False) -> list[Any]
                 break
             raise ConfigurationError(f"{path}:{number + 1} is not valid JSON: {exc}") from None
     return rows
+
+
+#: What reading a JSONL row of the wrong shape raises: a missing key, a value
+#: of the wrong type, a non-numeric string, a short list.
+MALFORMED_ROW_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
+
+def malformed_row(path: Path, number: int, exc: Exception, kind: str) -> ConfigurationError:
+    """The one-line error for a JSONL row this version cannot parse."""
+    detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ConfigurationError(
+        f"{path} line {number} is not a {kind} row this version can "
+        f"read ({detail}); refusing to load it"
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -8,8 +8,7 @@ share its results.  The :class:`JobManager` runs jobs on a bounded thread
 pool; each job drives the ordinary :class:`repro.api.Study` pipeline with a
 service-owned :class:`~repro.experiments.spec.ExecutionSpec`: its own
 checkpoint store directory under the service's store root, ``resume=True``,
-the shared memo cache, and optionally a process pool and a sharded
-validation store.
+the shared memo cache, and optionally a process pool.
 
 Restart safety rests on two pieces of the existing machinery plus one new
 file:
@@ -38,7 +37,7 @@ from typing import Mapping
 
 from ..core.exceptions import ConfigurationError
 from ..experiments.spec import ExecutionSpec, StudySpec, study_fingerprint
-from ..io import append_jsonl, read_jsonl
+from ..io import MALFORMED_ROW_ERRORS, append_jsonl, malformed_row, read_jsonl
 from .errors import NotFound
 
 __all__ = ["JOB_STATES", "Job", "JobJournalStore", "JobManager"]
@@ -88,12 +87,12 @@ class Job:
     def units_completed(self) -> int:
         """Completed work units, counted from the job's checkpoint lines.
 
-        Scans every JSONL checkpoint under the job's store directory
-        (single stores and ``shard-*.jsonl`` alike) for ``"kind": "unit"``
-        lines — the durable progress a restarted server would resume from.
+        Scans the JSONL checkpoints in the job's store directory (one per
+        stage; subdirectories are not read) for ``"kind": "unit"`` lines —
+        the durable progress a restarted server would resume from.
         """
         count = 0
-        for path in sorted(self.store_dir.rglob("*.jsonl")):
+        for path in sorted(self.store_dir.glob("*.jsonl")):
             try:
                 text = path.read_text(encoding="utf-8")
             except OSError:
@@ -185,11 +184,18 @@ class JobJournalStore:
                     f"{self.path} line {number} is not a job entry; "
                     f"refusing to recover from a corrupt journal"
                 )
+            try:
+                job_id, fingerprint, state = (
+                    str(row["id"]), str(row["fingerprint"]), str(row["state"])
+                )
+                if not isinstance(row.get("spec", {}), Mapping):
+                    raise TypeError("spec is not an object")
+            except MALFORMED_ROW_ERRORS as exc:
+                raise malformed_row(self.path, number, exc, "job") from None
             entry = jobs.setdefault(
-                str(row["id"]),
-                {"id": str(row["id"]), "fingerprint": str(row["fingerprint"]), "spec": None},
+                job_id, {"id": job_id, "fingerprint": fingerprint, "spec": None}
             )
-            entry["state"] = str(row["state"])
+            entry["state"] = state
             if "spec" in row:
                 entry["spec"] = row["spec"]
         return list(jobs.values())
@@ -213,7 +219,6 @@ class JobManager:
         *,
         jobs: int = 2,
         workers: "int | None" = None,
-        validation_shards: "int | None" = None,
         memo_path: "str | Path | None" = None,
         metrics=None,
     ) -> None:
@@ -227,7 +232,6 @@ class JobManager:
         self._execution = ExecutionSpec(
             workers=workers,
             store_dir=str(self.store_root / "studies"),
-            validation_shards=validation_shards,
             resume=True,
             memo=True,
             memo_path=str(memo_path),

@@ -116,7 +116,6 @@ def serve(
     port: int = 8080,
     jobs: int = 2,
     workers: "int | None" = None,
-    validation_shards: "int | None" = None,
     memo_path=None,
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     echo: "Callable[[str], None] | None" = None,
@@ -136,7 +135,6 @@ def serve(
         store_root,
         jobs=jobs,
         workers=workers,
-        validation_shards=validation_shards,
         memo_path=memo_path,
         metrics=metrics,
     )

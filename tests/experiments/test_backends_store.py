@@ -121,15 +121,13 @@ class TestProcessPoolBackend:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ConfigurationError):
             ProcessPoolBackend(0)
-        with pytest.raises(ConfigurationError):
-            ProcessPoolBackend(2, max_pending=0)
 
     def test_abandoning_the_result_stream_does_not_block(self):
         # an interrupted driver closes the generator; the pool must shut down
         # promptly (cancelling queued units) instead of draining the sweep
         plan = small_plan(num_configurations=3)
         units = plan_work_units(plan)
-        stream = ProcessPoolBackend(2, max_pending=1).run(plan, units)
+        stream = ProcessPoolBackend(1).run(plan, units)
         unit, records = next(stream)
         assert records
         stream.close()  # must not hang waiting for the remaining units
@@ -253,6 +251,26 @@ class TestStore:
     def test_resume_without_store_is_an_error(self):
         with pytest.raises(ConfigurationError, match="requires a store"):
             run_plan(small_plan(), resume=True)
+
+    def test_directory_checkpoint_refused(self, tmp_path):
+        # a checkpoint is one file: a directory is refused in one line naming
+        # it, even one holding a complete checkpoint
+        path = tmp_path / "sweep.jsonl"
+        run_plan(small_plan(), store=SweepStore(path))
+        directory = tmp_path / "sharded"
+        directory.mkdir()
+        (directory / "shard-0000.jsonl").write_text(path.read_text())
+        for load in (
+            lambda: SweepResult.load(directory),
+            lambda: run_plan(small_plan(), store=directory),
+            lambda: run_plan(small_plan(), store=str(directory), resume=True),
+            lambda: SweepStore(directory),
+        ):
+            with pytest.raises(ConfigurationError) as error:
+                load()
+            assert str(error.value) == (
+                f"{directory} is a directory; a sweep checkpoint is one JSONL file"
+            )
 
     @pytest.mark.parametrize(
         "mutate, number",

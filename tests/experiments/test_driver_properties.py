@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.config import default_plan
 from repro.experiments.runner import SweepResult, run_plan
-from repro.experiments.store import ShardedStore, SweepStore
+from repro.experiments.store import SweepStore
 from repro.experiments.validation import (
     ValidationStore,
     load_campaign,
@@ -82,12 +82,7 @@ def drive(run, store_kind: str, root: Path, store_type, interrupt: int):
     """
     if store_kind == "none":
         return run(store=None, progress=None), None
-    if store_kind == "file":
-        path = root / f"{store_type.data_description}.jsonl"
-        store = store_type(path)
-    else:
-        path = root / f"{store_type.data_description}-shards"
-        store = ShardedStore(path, store_type=store_type, shards=2)
+    path = root / f"{store_type.data_description}.jsonl"
     done = 0
 
     def tripwire(_message):
@@ -97,10 +92,9 @@ def drive(run, store_kind: str, root: Path, store_type, interrupt: int):
             raise _Interrupt
 
     try:
-        return run(store=store, progress=tripwire), path
+        return run(store=store_type(path), progress=tripwire), path
     except _Interrupt:
-        # a path resumes through the driver's own store resolution: a file
-        # path is a single store, a directory a shard root
+        # a path resumes through the driver's own store resolution
         return run(store=str(path), progress=None, resume=True), path
 
 
@@ -108,7 +102,7 @@ def drive(run, store_kind: str, root: Path, store_type, interrupt: int):
 @given(
     configurations=st.sampled_from([1, 2]),
     chunk_size=st.sampled_from([None, 1, 2]),
-    store_kind=st.sampled_from(["none", "file", "shards"]),
+    store_kind=st.sampled_from(["none", "file"]),
     memo_state=st.sampled_from(["off", "cold", "warm"]),
     interrupt=st.integers(min_value=0, max_value=4),
 )

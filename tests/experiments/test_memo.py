@@ -20,7 +20,7 @@ from repro.experiments.memo import (
     default_memo_path,
     memo_key,
 )
-from repro.experiments.runner import run_plan
+from repro.experiments.runner import _sweep_memo_study_key, run_plan
 from repro.experiments.validation import (
     _memo_study_key,
     plan_from_sweep,
@@ -118,6 +118,25 @@ class TestResultMemoStore:
         reloaded = ResultMemoStore(path)
         assert reloaded.lookup("s", "c1") == [{"a": 1}]
         assert reloaded.lookup("s", "c2") is None
+
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            pytest.param({"study": "s"}, "missing field 'cell'", id="missing-cell"),
+            pytest.param({"study": "s", "cell": "c", "records": 5},
+                         "records is not a list of objects", id="records-not-a-list"),
+        ],
+    )
+    def test_malformed_entry_reports_location(self, tmp_path, row, detail):
+        path = tmp_path / "memo.jsonl"
+        ResultMemoStore(path).put("s", "c0", [{"a": 1}])
+        append_jsonl(path, {"kind": "memo", **row})
+        with pytest.raises(ConfigurationError) as error:
+            ResultMemoStore(path).lookup("s", "c")
+        assert str(error.value) == (
+            f"{path} line 3 is not a memo row this version can read ({detail}); "
+            f"refusing to load it"
+        )
 
 
 def _memo_writer(path, worker, cells):
@@ -289,6 +308,22 @@ class TestSweepMemo:
         plain = run_plan(plan, memo=ResultMemoStore(path))
         # records without payloads are different content: must not hit
         assert plain.memo_stats.hits == 0
+
+    def test_study_keys_of_earlier_memos_still_hit(self, tmp_path, campaign_plan):
+        # the keys memo files written before the sweep lost its "check"
+        # switch carry; a changed key would turn every cached cell into a miss
+        plan = small_plan()
+        assert _sweep_memo_study_key(plan, capture_allocations=True) == (
+            "6eb70e282aff6db6018f01899b5c50c4"
+        )
+        assert _sweep_memo_study_key(plan, capture_allocations=False) == (
+            "40b13bc7a64c569fb89b54dc56f6f34f"
+        )
+        assert _memo_study_key(campaign_plan) == "59d8e9d81737330e85047536fec6b428"
+        path = tmp_path / "memo.jsonl"
+        run_plan(plan, capture_allocations=True, memo=path)
+        rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+        assert {row["study"] for row in rows} == {"6eb70e282aff6db6018f01899b5c50c4"}
 
     def test_memo_stats_arithmetic(self):
         stats = MemoStats(hits=3, misses=2)

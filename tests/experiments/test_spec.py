@@ -96,8 +96,9 @@ class TestStrictness:
             pytest.param("workload", "typo_field", 1, id="workload"),
             pytest.param("execution", "typo_field", 1, id="execution"),
             pytest.param("validation", "typo_field", 1, id="validation"),
-            # the retired sharding knob: only a null value still loads
+            # the retired sharding knobs: only a null value still loads
             pytest.param("execution", "chunk_policy", "adaptive", id="chunk_policy"),
+            pytest.param("execution", "validation_shards", 2, id="validation_shards"),
         ],
     )
     def test_unknown_nested_field_rejected(self, section, field, value):
@@ -138,10 +139,14 @@ class TestStrictness:
         # a pre-memo spec dict (missing the new fields) still loads
         legacy = {"workers": 2, "chunk_size": 1}
         assert ExecutionSpec.from_dict(legacy).memo is False
-        # older versions wrote "chunk_policy": null into every execution dict
-        older = ExecutionSpec.from_dict({**legacy, "chunk_policy": None})
+        # older versions wrote "chunk_policy" and "validation_shards" as null
+        # into every execution dict
+        older = ExecutionSpec.from_dict(
+            {**legacy, "chunk_policy": None, "validation_shards": None}
+        )
         assert older == ExecutionSpec.from_dict(legacy)
         assert "chunk_policy" not in older.as_dict()
+        assert "validation_shards" not in older.as_dict()
 
     def test_memo_path_requires_memo(self):
         with pytest.raises(ConfigurationError, match="memo_path requires"):

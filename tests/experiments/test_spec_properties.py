@@ -119,7 +119,6 @@ def executions(draw):
         chunk_size=draw(st.none() | st.integers(1, 5)),
         store_dir=store_dir,
         sweep_store=draw(st.none() | words),
-        validation_shards=None if store_dir is None else draw(st.none() | st.integers(1, 4)),
         resume=store_dir is not None and draw(st.booleans()),
         capture_allocations=draw(st.booleans()),
         memo=memo,

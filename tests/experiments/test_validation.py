@@ -9,7 +9,7 @@ from repro.core import ConfigurationError
 from repro.experiments.backends import ProcessPoolBackend
 from repro.experiments.config import default_plan
 from repro.experiments.runner import AllocationPayload, RunRecord, SweepResult, run_plan
-from repro.experiments.store import ShardedStore, SweepStore, load_sweep_result
+from repro.experiments.store import SweepStore, load_sweep_result
 from repro.experiments.validation import (
     AllocationSource,
     CampaignResult,
@@ -528,6 +528,22 @@ class TestValidationStore:
         run_validation(campaign_plan, store=path)
         assert record_lines(load_campaign(path))
 
+    def test_directory_checkpoint_refused(self, tmp_path, campaign_plan):
+        path = tmp_path / "campaign.jsonl"
+        run_validation(campaign_plan, store=ValidationStore(path))
+        directory = tmp_path / "sharded"
+        directory.mkdir()
+        (directory / "shard-0000.jsonl").write_text(path.read_text())
+        for load in (
+            lambda: load_campaign(directory),
+            lambda: run_validation(campaign_plan, store=directory, resume=True),
+        ):
+            with pytest.raises(ConfigurationError) as error:
+                load()
+            assert str(error.value) == (
+                f"{directory} is a directory; a validation checkpoint is one JSONL file"
+            )
+
     @pytest.mark.parametrize(
         "line, mutate",
         [
@@ -586,14 +602,9 @@ class TestValidationStore:
         }
         lines[0] = json.dumps({**header, "version": old_format})
         path.write_text("\n".join(lines) + "\n")
-        shards = tmp_path / "sharded"
-        shards.mkdir()
-        (shards / "shard-0000.jsonl").write_text(path.read_text())
         for load in (
             lambda: load_campaign(path),
-            lambda: load_campaign(shards),
             lambda: run_validation(campaign_plan, store=ValidationStore(path), resume=True),
-            lambda: run_validation(campaign_plan, store=shards, resume=True),
         ):
             with pytest.raises(ConfigurationError, match="predates validation checkpoint") as error:
                 load()
@@ -894,7 +905,7 @@ def single_horizon_lines(request, prefix_sweep):
 
 
 class TestHorizonPrefixes:
-    @pytest.mark.parametrize("how", ["serial", "pool", "resume", "shards"])
+    @pytest.mark.parametrize("how", ["serial", "pool", "resume"])
     def test_two_horizons_equal_two_single_horizon_campaigns(
         self, tmp_path, prefix_sweep, single_horizon_lines, how
     ):
@@ -918,12 +929,6 @@ class TestHorizonPrefixes:
             assert 0 < len(partial.records) < len(expected)
             campaign = run_validation(plan, store=ValidationStore(path), resume=True)
             assert record_lines(load_campaign(path)) == expected
-        else:
-            root = tmp_path / "shards"
-            campaign = run_validation(
-                plan, store=ShardedStore(root, store_type=ValidationStore, shards=2)
-            )
-            assert record_lines(load_campaign(root)) == expected
         assert record_lines(campaign) == expected
 
     def test_fluid_cells_mix_tiers_across_horizons(self, prefix_sweep):

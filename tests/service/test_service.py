@@ -28,6 +28,7 @@ import repro
 from repro.api import Study
 from repro.core import ConfigurationError
 from repro.experiments.spec import StudySpec, study_fingerprint
+from repro.io import append_jsonl
 from repro.service import (
     BadRequest,
     JobJournalStore,
@@ -376,6 +377,63 @@ class TestRestartAndRecovery:
         finally:
             manager.shutdown()
 
+    def test_recovers_store_root_of_a_sharding_server(self, tmp_path, reference):
+        # a server that sharded campaigns journaled specs spelling out
+        # "validation_shards": null and left <name>-validation/shard-*.jsonl
+        # behind; the recovered job checkpoints to <name>-validation.jsonl
+        # and its progress does not count the stale shard's lines
+        spec = StudySpec.from_dict(tiny_spec_dict())
+        local = tmp_path / "local"
+        Study.from_spec(spec.with_execution(store_dir=str(local))).run()
+        root = tmp_path / "state"
+        fingerprint = study_fingerprint(spec)
+        stale = root / "studies" / fingerprint[:16] / f"{spec.name}-validation"
+        stale.mkdir(parents=True)
+        (stale / "shard-0000.jsonl").write_text(
+            (local / f"{spec.name}-validation.jsonl").read_text()
+        )
+        data = spec.as_dict()
+        data["execution"]["validation_shards"] = None
+        JobJournalStore(root / "jobs.jsonl").record(
+            fingerprint[:16], "submitted", fingerprint=fingerprint, spec=data
+        )
+        manager = JobManager(root, jobs=1)
+        try:
+            assert manager.recover() == 1
+            job = manager.get(fingerprint[:16])
+            assert job.wait(timeout=120) and job.state == "done"
+            assert canonical_lines(
+                [r.as_dict() for r in job.result.campaign.records]
+            ) == canonical_lines([r.as_dict() for r in reference.campaign.records])
+            assert (job.store_dir / f"{spec.name}-validation.jsonl").is_file()
+            # one sweep unit and one campaign unit
+            assert job.units_completed() == 2
+        finally:
+            manager.shutdown()
+
+    def test_retired_validation_shards_value_is_refused(self, tmp_path):
+        # a non-null value asks for sharding that no longer exists: a 400 at
+        # submission, and a failed job when an older journal holds it
+        data = tiny_spec_dict("svc-sharded")
+        data["execution"] = {"store_dir": "runs", "validation_shards": 2}
+        root = tmp_path / "state"
+        root.mkdir()
+        JobJournalStore(root / "jobs.jsonl").record(
+            "c" * 16, "submitted", fingerprint="c" * 64, spec=data
+        )
+        manager = JobManager(root, jobs=1)
+        try:
+            with pytest.raises(BadRequest, match="unknown field.*validation_shards"):
+                Router(manager, ServiceMetrics()).dispatch(
+                    "POST", "/v1/studies", json.dumps(data).encode()
+                )
+            assert manager.recover() == 1
+            job = manager.get("c" * 16)
+            assert job.state == "failed" and "validation_shards" in job.error
+            assert "\n" not in job.error
+        finally:
+            manager.shutdown()
+
     def test_serve_recovers_past_a_journaled_spec_it_refuses(self, tmp_path, reference):
         # an older server accepted H2 iterations 0 with a 202 and journaled
         # it; serve must still start, show that job failed in one line and
@@ -442,6 +500,36 @@ class TestRestartAndRecovery:
         finally:
             manager.shutdown()
 
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            pytest.param({"state": "submitted"}, "missing field 'id'", id="without-id"),
+            pytest.param(
+                {"id": "a" * 16, "fingerprint": "a" * 64, "state": "submitted",
+                 "spec": ["a", "list"]},
+                "spec is not an object",
+                id="spec-not-an-object",
+            ),
+        ],
+    )
+    def test_malformed_journal_entry_reports_location(self, tmp_path, row, detail):
+        root = tmp_path / "state"
+        root.mkdir()
+        journal = JobJournalStore(root / "jobs.jsonl")
+        journal.record("b" * 16, "submitted", fingerprint="b" * 64, spec=tiny_spec_dict())
+        append_jsonl(journal.path, {"kind": "job", **row})
+        manager = JobManager(root, jobs=1)
+        try:
+            with pytest.raises(ConfigurationError) as error:
+                manager.recover()
+            assert str(error.value) == (
+                f"{journal.path} line 3 is not a job row this version can read "
+                f"({detail}); refusing to load it"
+            )
+            assert manager.list_jobs() == []
+        finally:
+            manager.shutdown()
+
     def test_foreign_journal_file_refused(self, tmp_path):
         root = tmp_path / "state"
         root.mkdir()
@@ -468,7 +556,7 @@ class TestManagerConfig:
         with pytest.raises(ConfigurationError, match="jobs"):
             JobManager(tmp_path / "state", jobs=0)
 
-    @pytest.mark.parametrize("setting", ["workers", "validation_shards"])
+    @pytest.mark.parametrize("setting", ["workers"])
     def test_invalid_execution_settings_rejected_at_construction(self, tmp_path, setting):
         with pytest.raises(ConfigurationError, match=f"{setting} must be >= 1"):
             JobManager(tmp_path / "state", jobs=1, **{setting: 0})

@@ -25,17 +25,14 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["serve", "--store-root", "state"])
         assert (args.host, args.port, args.jobs) == ("127.0.0.1", 8080, 2)
-        assert args.workers is None
-        assert args.validation_shards is None and args.memo_path is None
+        assert args.workers is None and args.memo_path is None
         assert args.request_timeout == 30.0
         args = parser.parse_args(
             ["serve", "--store-root", "state", "--port", "0", "--jobs", "4",
-             "--workers", "2",
-             "--validation-shards", "3", "--memo-path", "memo.jsonl",
+             "--workers", "2", "--memo-path", "memo.jsonl",
              "--request-timeout", "5"]
         )
         assert (args.port, args.jobs, args.workers) == (0, 4, 2)
-        assert args.validation_shards == 3
         assert str(args.memo_path) == "memo.jsonl" and args.request_timeout == 5.0
 
     @pytest.mark.parametrize(
@@ -53,7 +50,15 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --chunk-policy adaptive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--workers", "--validation-shards"])
+    def test_retired_validation_shards_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(
+                ["serve", "--store-root", "state", "--validation-shards", "2"]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --validation-shards 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--workers"])
     def test_serve_refuses_bad_execution_settings_before_binding(
         self, capsys, tmp_path, monkeypatch, flag
     ):
@@ -346,6 +351,31 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "line 1 " in err and "'name'" in err
 
+    def test_directory_checkpoint_is_one_error_line(self, capsys, tmp_path):
+        # a checkpoint is one file per stage: a directory is refused in one
+        # line naming it, whatever it holds, and before any stage runs
+        import json
+
+        sweep_file = tmp_path / "sweep.jsonl"
+        assert main(_tiny_figure_args(sweep_file)) == 0
+        capsys.readouterr()
+        directory = tmp_path / "sharded"
+        directory.mkdir()
+        (directory / "shard-0000.jsonl").write_text(sweep_file.read_text())
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps(_tiny_study_dict(tmp_path / "s.jsonl", directory)))
+        for argv in (
+            ["validate", str(directory), "--horizons", "6", "--quiet"],
+            ["validate", str(sweep_file), "--horizons", "6", "--out", str(directory),
+             "--quiet"],
+            ["run", str(study), "--quiet"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"{directory} is a directory" in err
+        assert not (tmp_path / "s.jsonl").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -372,6 +402,43 @@ class TestCommands:
         assert err.count("error:") == 1
         assert err.endswith("\n") and err.splitlines()[-1].startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "case", ["validate", "run", "figure-out", "serve-journal", "run-memo"]
+    )
+    def test_file_that_is_not_utf8_is_one_error_line(self, capsys, tmp_path, monkeypatch, case):
+        import json
+
+        import repro.service.server as server
+
+        binary = tmp_path / "bin.jsonl"
+        if case == "validate":
+            argv = ["validate", str(binary), "--quiet"]
+        elif case == "run":
+            argv = ["run", str(binary), "--quiet"]
+        elif case == "figure-out":
+            argv = ["figure", "figure3", "--configurations", "1", "--throughputs", "60",
+                    "--iterations", "10", "--out", str(binary), "--quiet"]
+        elif case == "serve-journal":
+            binary = tmp_path / "state" / "jobs.jsonl"
+            binary.parent.mkdir()
+
+            def bind(*_args, **_kwargs):
+                raise AssertionError("serve bound a port despite an unreadable journal")
+
+            monkeypatch.setattr(server, "StudyService", bind)
+            argv = ["serve", "--store-root", str(binary.parent), "--port", "0"]
+        else:
+            data = _tiny_study_dict(tmp_path / "s.jsonl", tmp_path / "c.jsonl")
+            data["execution"].update(memo=True, memo_path=str(binary))
+            study = tmp_path / "study.json"
+            study.write_text(json.dumps(data))
+            argv = ["run", str(study), "--quiet"]
+        binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(binary) in err
 
 
 def _tiny_figure_args(sweep_file):
@@ -634,6 +701,7 @@ class TestRunCommand:
         [
             pytest.param(None, "workers", 4, id="misplaced"),  # belongs under "execution"
             pytest.param("execution", "chunk_policy", "adaptive", id="chunk_policy"),
+            pytest.param("execution", "validation_shards", 2, id="validation_shards"),
         ],
     )
     def test_run_rejects_unknown_spec_fields(self, capsys, tmp_path, section, field, value):
