@@ -26,10 +26,10 @@ RL008   engine hot-path purity: no I/O or wall-clock under
 ======  ====================================================================
 
 The per-file rules are one AST hop deep by design.  The **project-rule
-family** (whole-tree mode: ``repro-cloud lint --project``, the default when
-linting a directory) closes the transitive gaps over a deterministic
-call graph (``project.py``), with findings that print the offending call
-chain (``engine.run → _drain → logger.info``):
+family** (whole-tree mode: any run whose paths include a directory) closes
+the transitive gaps over a deterministic call graph (``project.py``), with
+findings that print the offending call chain
+(``engine.run → _drain → logger.info``):
 
 ======  ====================================================================
 RL101   transitive engine purity: no call path from ``simulation/engine.py``
@@ -46,11 +46,6 @@ RL105   dead spec axes: every ``*Spec`` dataclass field is read by some
         code path outside the spec itself
 ======  ====================================================================
 
-Whole-tree runs are incremental: per-module analyses are cached on disk
-keyed on file sha256 (``cache.py``), so a warm rerun re-analyzes only the
-modules whose bytes changed and rebuilds the call graph from cached
-summaries.
-
 A finding on one line can be suppressed with a justified pragma::
 
     risky_line()  # repro-lint: disable=RL001 -- <why this one is safe>
@@ -58,25 +53,17 @@ A finding on one line can be suppressed with a justified pragma::
 A pragma anywhere on a multi-line statement covers the whole logical line.
 The justification is mandatory; a pragma without one is itself reported
 (``RL000``) and suppresses nothing.  Run the checker with
-``repro-cloud lint [paths] [--rule ID] [--format json] [--project]
-[--graph dot] [--output FILE]``; the test suite lints ``src/`` in both
-modes and fails on any finding, so the repo itself stays clean.
+``repro-cloud lint [paths] [--rule ID] [--output FILE]`` — text on stdout,
+the JSON report in ``FILE``; the test suite lints ``src/`` as a directory
+and fails on any finding, so the repo itself stays clean.
 """
 
 from .base import Finding, ModuleContext, ProjectRule, Rule
-from .cache import AnalysisCache, default_cache_path
 from .pragmas import PRAGMA_RULE_ID
-from .project import ModuleSummary, ProjectContext, render_dot, summarize_module
+from .project import ModuleSummary, ProjectContext, summarize_module
 from .registry import available_rules, make_rule_sets, make_rules, rule_ids
 from .reporters import render_json, render_text
-from .runner import (
-    LintReport,
-    iter_python_files,
-    lint_file,
-    lint_paths,
-    lint_source,
-    lint_sources,
-)
+from .runner import LintReport, iter_python_files, lint_paths, lint_source, lint_sources
 
 __all__ = [
     "Finding",
@@ -84,11 +71,8 @@ __all__ = [
     "Rule",
     "ProjectRule",
     "PRAGMA_RULE_ID",
-    "AnalysisCache",
-    "default_cache_path",
     "ModuleSummary",
     "ProjectContext",
-    "render_dot",
     "summarize_module",
     "available_rules",
     "make_rules",
@@ -98,7 +82,6 @@ __all__ = [
     "render_text",
     "LintReport",
     "iter_python_files",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "lint_sources",

@@ -261,7 +261,7 @@ class Rule:
     name: str = ""
     summary: str = ""
     #: "file" rules see one module at a time; "project" rules see the whole
-    #: tree (ProjectRule subclasses) and only run in ``--project`` mode.
+    #: tree (ProjectRule subclasses) and only run when a directory is linted.
     scope: str = "file"
 
     def applies_to(self, ctx: ModuleContext) -> bool:
@@ -282,7 +282,7 @@ class ProjectRule(Rule):
     Project rules run over a :class:`~repro.analysis.lint.project.ProjectContext`
     — every module parsed, symbols indexed, call graph built — so they can
     enforce invariants that are properties of *call chains* rather than single
-    files.  They only run in whole-tree (``--project``) mode.
+    files.  They only run in whole-tree mode (a directory among the paths).
     """
 
     scope = "project"

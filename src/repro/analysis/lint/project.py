@@ -10,12 +10,10 @@ the machinery to see those chains:
 
 ``summarize_module``
     One deterministic pass over a parsed :class:`ModuleContext` producing a
-    JSON-round-trippable :class:`ModuleSummary` — every function with its
-    call sites (loop/return/argument positions noted), impurity and
-    nondeterminism facts, every class with its fields and attribute
-    constructors, every attribute read.  Summaries are what the on-disk
-    analysis cache stores, so a warm whole-tree run never re-parses an
-    unchanged file.
+    :class:`ModuleSummary` — every function with its call sites
+    (loop/return/argument positions noted), impurity and nondeterminism
+    facts, every class with its fields and attribute constructors, every
+    attribute read.
 
 ``ProjectContext``
     All summaries indexed: function and class tables, a method-name index,
@@ -38,7 +36,6 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 from .base import ModuleContext, impurity_reason, nondeterminism_reason
 
 __all__ = [
-    "SUMMARY_VERSION",
     "CallSite",
     "FunctionRecord",
     "ClassRecord",
@@ -46,12 +43,7 @@ __all__ = [
     "summarize_module",
     "Edge",
     "ProjectContext",
-    "render_dot",
 ]
-
-#: Bumped whenever the summary shape changes: a cache entry written by an
-#: older analyzer must be treated as a miss, never misread.
-SUMMARY_VERSION = 1
 
 #: Method names far too generic for the unique-definer attribute heuristic —
 #: resolving ``records.append`` to some project class's ``append`` would
@@ -86,31 +78,6 @@ class CallSite:
     loop: bool           #: lexically inside a loop/comprehension of this function
     arg_calls: tuple[int, ...]  #: indices of call sites nested in the arguments
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "qual": self.qual,
-            "attr": self.attr,
-            "self": self.self_recv,
-            "recv": self.recv,
-            "line": self.line,
-            "col": self.col,
-            "loop": self.loop,
-            "args": list(self.arg_calls),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CallSite":
-        return cls(
-            qual=data["qual"],
-            attr=data["attr"],
-            self_recv=data["self"],
-            recv=data["recv"],
-            line=data["line"],
-            col=data["col"],
-            loop=data["loop"],
-            arg_calls=tuple(data["args"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class FunctionRecord:
@@ -131,43 +98,6 @@ class FunctionRecord:
     assigns: tuple[tuple[str, "str | None", tuple[int, ...]], ...]
     #: per assigned name: (name, direct nondeterminism reason, rhs call indices)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "qual": self.qual,
-            "name": self.name,
-            "cls": self.cls,
-            "line": self.line,
-            "col": self.col,
-            "calls": [site.as_dict() for site in self.calls],
-            "impure": list(self.impure) if self.impure else None,
-            "nondet": list(self.nondet) if self.nondet else None,
-            "eval_split": self.eval_split_line,
-            "ret_direct": self.ret_direct,
-            "ret_calls": list(self.ret_calls),
-            "ret_names": list(self.ret_names),
-            "assigns": [[name, direct, list(idx)] for name, direct, idx in self.assigns],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FunctionRecord":
-        return cls(
-            qual=data["qual"],
-            name=data["name"],
-            cls=data["cls"],
-            line=data["line"],
-            col=data["col"],
-            calls=tuple(CallSite.from_dict(item) for item in data["calls"]),
-            impure=tuple(data["impure"]) if data["impure"] else None,
-            nondet=tuple(data["nondet"]) if data["nondet"] else None,
-            eval_split_line=data["eval_split"],
-            ret_direct=data["ret_direct"],
-            ret_calls=tuple(data["ret_calls"]),
-            ret_names=tuple(data["ret_names"]),
-            assigns=tuple(
-                (name, direct, tuple(idx)) for name, direct, idx in data["assigns"]
-            ),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ClassRecord:
@@ -185,35 +115,6 @@ class ClassRecord:
     attr_ctors: tuple[tuple[str, str, int], ...]
     #: (attribute, constructor qual, line) for every ``self.x = SomeCall()``
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "qual": self.qual,
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-            "dataclass": self.is_dataclass,
-            "fields": [list(item) for item in self.fields],
-            "lambdas": list(self.lambda_lines),
-            "attr_ctors": [list(item) for item in self.attr_ctors],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClassRecord":
-        return cls(
-            qual=data["qual"],
-            name=data["name"],
-            line=data["line"],
-            col=data["col"],
-            bases=tuple(data["bases"]),
-            methods=tuple(data["methods"]),
-            is_dataclass=data["dataclass"],
-            fields=tuple((n, a, l) for n, a, l in data["fields"]),
-            lambda_lines=tuple(data["lambdas"]),
-            attr_ctors=tuple((n, q, l) for n, q, l in data["attr_ctors"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ModuleSummary:
@@ -227,27 +128,6 @@ class ModuleSummary:
     attr_reads: tuple[tuple[str, tuple[str, ...]], ...]
     #: per scope (dotted local qual of the enclosing def/class chain, "" at
     #: module level): sorted attribute names read anywhere in that scope
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "parts": list(self.parts),
-            "module": self.module,
-            "functions": [fn.as_dict() for fn in self.functions],
-            "classes": [c.as_dict() for c in self.classes],
-            "attr_reads": [[scope, list(names)] for scope, names in self.attr_reads],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModuleSummary":
-        return cls(
-            path=data["path"],
-            parts=tuple(data["parts"]),
-            module=data["module"],
-            functions=tuple(FunctionRecord.from_dict(f) for f in data["functions"]),
-            classes=tuple(ClassRecord.from_dict(c) for c in data["classes"]),
-            attr_reads=tuple((scope, tuple(names)) for scope, names in data["attr_reads"]),
-        )
 
 
 def _module_name(parts: Sequence[str]) -> str:
@@ -774,32 +654,3 @@ def chain_from(
         seen.add(current)
     return chain
 
-
-def render_dot(project: ProjectContext) -> str:
-    """The call graph in Graphviz DOT form (deterministic, resolved edges).
-
-    Solid edges are alias/suffix/self/constructor resolutions; dashed edges
-    came from the unique-definer attribute heuristic.  Ambiguous and
-    external edges are omitted — they are recorded on the context for rules
-    that want them, but drawing every stdlib call would bury the structure.
-    """
-    lines = [
-        "digraph repro_callgraph {",
-        "  rankdir=LR;",
-        '  node [shape=box, fontsize=10, fontname="Helvetica"];',
-    ]
-    drawn: set[str] = set()
-    for qual in sorted(project.functions):
-        for edge in project.edges[qual]:
-            if edge.target is None:
-                continue
-            style = "dashed" if edge.kind == "attr" else "solid"
-            line = (
-                f'  "{qual}" -> "{edge.target}" '
-                f'[style={style}, label="{edge.kind}"];'
-            )
-            if line not in drawn:
-                drawn.add(line)
-                lines.append(line)
-    lines.append("}")
-    return "\n".join(lines) + "\n"

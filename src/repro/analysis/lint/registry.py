@@ -55,7 +55,7 @@ def make_rules(ids: "Sequence[str] | Iterable[str] | None" = None) -> list[Rule]
     With ``ids=None`` this returns every *per-file* rule — the default set a
     single-module lint can run.  Project rules (``scope == "project"``) need
     the whole tree and are only included when explicitly named; use
-    :func:`make_rule_sets` to get both families for a ``--project`` run.
+    :func:`make_rule_sets` to get both families for a whole-program run.
     """
     _ensure_loaded()
     if ids is None:
@@ -98,7 +98,7 @@ def make_rule_sets(
             names = ", ".join(rule.id for rule in project_rules)
             raise ConfigurationError(
                 f"rule(s) {names} need whole-program analysis; "
-                "run with --project (or lint a directory tree)"
+                "lint a directory tree"
             )
         return file_rules, []
     return file_rules, project_rules

@@ -1,22 +1,23 @@
-"""The lint driver: walk files, run rules, apply pragmas, collect findings.
+"""The lint driver: read files, run rules, apply pragmas, collect findings.
+
+One pass: :func:`lint_sources` is the only driver loop and
+:func:`lint_paths` reads files from disk into it.  The mode follows the
+input — a directory among the paths runs every rule over the call graph,
+files alone run the per-file rules.
 
 Findings come back sorted by (path, line, col, rule) so two runs over the
 same tree produce byte-identical reports — the linter obeys the same
-determinism invariant it enforces.  That holds across cache states too: a
-warm ``--project`` run serves per-file findings and module summaries from
-the sha256-keyed :class:`~repro.analysis.lint.cache.AnalysisCache` and must
-render exactly the report a cold run renders.
+determinism invariant it enforces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ...core.exceptions import ConfigurationError
 from .base import Finding, ModuleContext, Rule
-from .cache import AnalysisCache, content_sha256
 from .pragmas import PRAGMA_RULE_ID, parse_pragmas
 from .project import ModuleSummary, ProjectContext, summarize_module
 from .registry import make_rule_sets, make_rules, rule_ids
@@ -25,7 +26,6 @@ __all__ = [
     "LintReport",
     "iter_python_files",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "lint_sources",
 ]
@@ -55,11 +55,7 @@ class LintReport:
     findings: tuple[Finding, ...]
     files: tuple[str, ...]
     rule_ids: tuple[str, ...]
-    #: files whose analysis actually ran this time (whole-tree mode: cache
-    #: misses; always every file when no cache is in play)
-    reanalyzed: tuple[str, ...] = ()
-    #: the whole-program context of a --project run (None per-file); carries
-    #: the call graph for ``--graph dot``
+    #: the whole-program context with its call graph (None per-file)
     project: "ProjectContext | None" = field(default=None, compare=False)
 
     @property
@@ -78,7 +74,7 @@ def iter_python_files(paths: Iterable["str | Path"]) -> Iterator[Path]:
             candidates = sorted(
                 p
                 for p in path.rglob("*.py")
-                if not (set(p.parts) & _SKIP_DIRS)
+                if not (set(p.relative_to(path).parts) & _SKIP_DIRS)
             )
         elif path.suffix == ".py":
             candidates = [path]
@@ -93,7 +89,7 @@ def iter_python_files(paths: Iterable["str | Path"]) -> Iterator[Path]:
 
 def _analyze_module(
     path_text: str,
-    source: str,
+    source: "str | bytes",
     file_rules: Sequence[Rule],
     *,
     want_summary: bool,
@@ -102,10 +98,15 @@ def _analyze_module(
 
     Suppressions are returned (not just applied) because project-rule
     findings anchored in this module go through the same pragma filter
-    later, and the whole-tree cache stores them alongside the findings.
+    later.  Bytes that are not UTF-8, like source that does not parse, are
+    one protocol finding instead of an analysis.
     """
     try:
-        ctx = ModuleContext(path_text, source)
+        text = source.decode("utf-8") if isinstance(source, bytes) else source
+    except UnicodeDecodeError:
+        return [Finding(PRAGMA_RULE_ID, path_text, 1, 1, "file is not UTF-8 text")], None, {}
+    try:
+        ctx = ModuleContext(path_text, text)
     except SyntaxError as exc:
         finding = Finding(
             rule_id=PRAGMA_RULE_ID,
@@ -121,7 +122,7 @@ def _analyze_module(
             findings.update(rule.check(ctx))
     # pragmas validate against *all* known ids, not just the selected rules,
     # so a --rule-restricted run never misreports a valid pragma as unknown
-    suppressions, pragma_findings = parse_pragmas(source, path_text, rule_ids())
+    suppressions, pragma_findings = parse_pragmas(text, path_text, rule_ids())
     kept = [
         finding
         for finding in findings
@@ -151,43 +152,19 @@ def lint_source(
     return findings
 
 
-def lint_file(path: "str | Path", *, rules: "Sequence[Rule] | None" = None) -> list[Finding]:
-    """Lint one file on disk."""
-    file_path = Path(path)
-    try:
-        source = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {file_path}: {exc}") from None
-    return lint_source(source, file_path, rules=rules)
-
-
-def _run_project_rules(
-    project_rules: Sequence[Rule],
-    summaries: Sequence[ModuleSummary],
-    suppressions_by_path: Mapping[str, Mapping[int, "set[str] | Sequence[str]"]],
-) -> "tuple[list[Finding], ProjectContext]":
-    project = ProjectContext(summaries)
-    findings: list[Finding] = []
-    for rule in sorted(project_rules, key=lambda r: r.id):
-        for finding in rule.check_project(project):
-            per_line = suppressions_by_path.get(finding.path, {})
-            if finding.rule_id in set(per_line.get(finding.line, ())):
-                continue
-            findings.append(finding)
-    return findings, project
-
-
 def lint_sources(
-    sources: Sequence[tuple[str, str]],
+    sources: Sequence[tuple[str, "str | bytes"]],
     *,
     rule_ids_filter: "Sequence[str] | None" = None,
     project: bool = True,
 ) -> LintReport:
-    """Lint an in-memory set of ``(virtual path, source)`` modules.
+    """Lint a set of ``(path, source)`` modules: the one driver loop.
 
-    The whole-tree analogue of :func:`lint_source`: fixture tests hand in a
-    synthetic multi-module tree and get the full per-file + project-rule
-    treatment without touching disk (and without a cache).
+    ``project=True`` adds whole-program analysis: every module is summarized
+    into the symbol table / call graph and the project-rule family (RL101+)
+    runs over the assembled :class:`ProjectContext`.  A source is text or
+    the raw bytes of a file; fixture tests hand in synthetic multi-module
+    trees under virtual paths without touching disk.
     """
     file_rules, project_rules = make_rule_sets(rule_ids_filter, project=project)
     findings: list[Finding] = []
@@ -205,116 +182,44 @@ def lint_sources(
         suppressions_by_path[path_text] = suppressions
     project_ctx: "ProjectContext | None" = None
     if project_rules:
-        project_findings, project_ctx = _run_project_rules(
-            project_rules, summaries, suppressions_by_path
-        )
-        findings.extend(project_findings)
+        project_ctx = ProjectContext(summaries)
+        for rule in sorted(project_rules, key=lambda r: r.id):
+            for finding in rule.check_project(project_ctx):
+                per_line = suppressions_by_path.get(finding.path, {})
+                if finding.rule_id not in per_line.get(finding.line, set()):
+                    findings.append(finding)
     findings.sort(key=Finding.sort_key)
     return LintReport(
         findings=tuple(findings),
         files=tuple(files),
         rule_ids=tuple(rule.id for rule in list(file_rules) + list(project_rules)),
-        reanalyzed=tuple(files),
         project=project_ctx,
     )
-
-
-def _cached_analysis(
-    record: Mapping[str, Any],
-) -> "tuple[list[Finding], ModuleSummary | None, dict[int, set[str]]]":
-    findings = [
-        Finding(
-            rule_id=row["rule"],
-            path=row["path"],
-            line=row["line"],
-            col=row["col"],
-            message=row["message"],
-        )
-        for row in record["findings"]
-    ]
-    summary_data = record.get("summary")
-    summary = ModuleSummary.from_dict(summary_data) if summary_data else None
-    suppressions = {
-        int(line): set(ids) for line, ids in record.get("suppressions", {}).items()
-    }
-    return findings, summary, suppressions
 
 
 def lint_paths(
     paths: Iterable["str | Path"],
     *,
     rule_ids_filter: "Sequence[str] | None" = None,
-    project: bool = False,
-    cache: "AnalysisCache | str | Path | None" = None,
 ) -> LintReport:
     """Lint every Python file under ``paths`` with the selected rules.
 
-    ``project=True`` adds whole-program analysis: per-file rules run as
-    usual, every module is summarized into the symbol table / call graph,
-    and the project-rule family (RL101+) runs over the assembled
-    :class:`ProjectContext`.  ``cache`` (a path or an
-    :class:`AnalysisCache`) makes warm reruns incremental: modules whose
-    sha256, path and rule selection match a cached record skip parsing and
-    per-file analysis entirely.
+    A directory among ``paths`` selects whole-program mode; files alone get
+    the per-file rules.  Finding no Python file is a configuration error, so
+    a gate pointed at the wrong path fails instead of passing on nothing.
     """
-    file_rules, project_rules = make_rule_sets(rule_ids_filter, project=project)
-    file_rule_ids = [rule.id for rule in file_rules]
-    store: "AnalysisCache | None" = None
-    if project and cache is not None:
-        store = cache if isinstance(cache, AnalysisCache) else AnalysisCache(cache)
-    findings: list[Finding] = []
-    files: list[str] = []
-    reanalyzed: list[str] = []
-    summaries: list[ModuleSummary] = []
-    suppressions_by_path: dict[str, dict[int, set[str]]] = {}
-    for file_path in iter_python_files(paths):
-        path_text = str(file_path)
-        files.append(path_text)
+    roots = [Path(raw) for raw in paths]
+    sources: list[tuple[str, bytes]] = []
+    for file_path in iter_python_files(roots):
         try:
-            raw = file_path.read_bytes()
+            sources.append((str(file_path), file_path.read_bytes()))
         except OSError as exc:
             raise ConfigurationError(f"cannot read {file_path}: {exc}") from None
-        kept: "list[Finding] | None" = None
-        summary: "ModuleSummary | None" = None
-        suppressions: dict[int, set[str]] = {}
-        sha = ""
-        if store is not None:
-            sha = content_sha256(raw)
-            record = store.get(sha, path_text, file_rule_ids)
-            if record is not None:
-                kept, summary, suppressions = _cached_analysis(record)
-        if kept is None:
-            reanalyzed.append(path_text)
-            source = raw.decode("utf-8")
-            kept, summary, suppressions = _analyze_module(
-                path_text, source, file_rules, want_summary=project
-            )
-            if store is not None:
-                store.put(
-                    sha,
-                    path_text,
-                    file_rule_ids,
-                    [finding.as_dict() for finding in kept],
-                    summary.as_dict() if summary is not None else None,
-                    {str(line): sorted(ids) for line, ids in suppressions.items()},
-                )
-        findings.extend(kept)
-        if summary is not None:
-            summaries.append(summary)
-        suppressions_by_path[path_text] = suppressions
-    if store is not None:
-        store.flush()
-    project_ctx: "ProjectContext | None" = None
-    if project:
-        project_findings, project_ctx = _run_project_rules(
-            project_rules, summaries, suppressions_by_path
-        )
-        findings.extend(project_findings)
-    findings.sort(key=Finding.sort_key)
-    return LintReport(
-        findings=tuple(findings),
-        files=tuple(files),
-        rule_ids=tuple(rule.id for rule in list(file_rules) + list(project_rules)),
-        reanalyzed=tuple(reanalyzed),
-        project=project_ctx,
+    if not sources:
+        names = ", ".join(str(root) for root in roots)
+        raise ConfigurationError(f"no Python file to lint in {names}")
+    return lint_sources(
+        sources,
+        rule_ids_filter=rule_ids_filter,
+        project=any(root.is_dir() for root in roots),
     )

@@ -26,10 +26,11 @@ Sub-commands
 ``settings``
     List the paper's workload settings and the registered algorithms.
 ``lint``
-    Run repro-lint, the AST-based architecture-invariant checker (rules
-    RL001-RL008: determinism, evaluator routing, work-unit contract,
+    Run repro-lint, the AST-based architecture-invariant checker: per-file
+    rules RL001-RL008 (determinism, evaluator routing, work-unit contract,
     checkpoint hygiene, spec strictness, exception hygiene, seed
-    derivations, engine purity).  Exits 1 on findings, so CI can gate on it.
+    derivations, engine purity), plus the call-graph rules RL101-RL105 when
+    a directory is linted.  Exits 1 on findings, so CI can gate on it.
 """
 
 from __future__ import annotations
@@ -220,33 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument("paths", nargs="*", type=Path,
                         help="files or directories to lint (default: ./src if it "
-                             "exists, else the current directory)")
+                             "exists, else the current directory); a directory "
+                             "adds the call-graph rules (RL101+) to the per-file ones")
     p_lint.add_argument("--rule", action="append", default=None, metavar="ID",
                         help="restrict to these rule ids (repeatable; comma lists "
                              "accepted, e.g. --rule RL001,RL002)")
-    p_lint.add_argument("--format", choices=("text", "json"), default="text",
-                        dest="output_format",
-                        help="report format: 'text' (path:line:col per finding) or "
-                             "'json' (the CI artifact shape)")
-    p_lint.add_argument("--project", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="whole-program mode: build the call graph and run the "
-                             "transitive rules (RL101+) on top of the per-file ones; "
-                             "the default when any lint path is a directory "
-                             "(--no-project forces per-file mode)")
-    p_lint.add_argument("--graph", choices=("dot",), default=None,
-                        help="dump the whole-program call graph to stdout in the "
-                             "given format instead of the text report "
-                             "(requires --project; exit code still reflects findings)")
     p_lint.add_argument("--output", type=Path, default=None, metavar="PATH",
                         help="also write the JSON report to PATH, keeping the "
                              "terminal report and exit code unchanged")
-    p_lint.add_argument("--cache", type=Path, default=None, metavar="PATH",
-                        help="whole-tree analysis cache location (default: "
-                             "$REPRO_LINT_CACHE_PATH or "
-                             "~/.cache/repro-cloud/lint-cache.jsonl)")
-    p_lint.add_argument("--no-cache", action="store_true",
-                        help="disable the whole-tree analysis cache")
     p_lint.add_argument("--list-rules", action="store_true",
                         help="print the rule table and exit")
     return parser
@@ -584,14 +566,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.lint import (
-        available_rules,
-        default_cache_path,
-        lint_paths,
-        render_dot,
-        render_json,
-        render_text,
-    )
+    from .analysis.lint import available_rules, lint_paths, render_json, render_text
 
     if args.list_rules:
         for rule_cls in available_rules():
@@ -601,15 +576,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if not paths:
         default = Path("src")
         paths = [default if default.is_dir() else Path(".")]
-    project = args.project
-    if project is None:
-        # whole-program analysis is the default when linting a tree
-        project = any(path.is_dir() for path in paths)
-    if args.graph is not None and not project:
-        raise ConfigurationError("--graph needs whole-program mode (--project)")
-    cache = None
-    if project and not args.no_cache:
-        cache = args.cache if args.cache is not None else default_cache_path()
     rule_filter = None
     if args.rule is not None:
         rule_filter = [
@@ -618,16 +584,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             for token in item.split(",")
             if token.strip()
         ]
-    report = lint_paths(paths, rule_ids_filter=rule_filter, project=project, cache=cache)
+    report = lint_paths(paths, rule_ids_filter=rule_filter)
     if args.output is not None:
         args.output.write_text(render_json(report), encoding="utf-8")
-    if args.graph == "dot" and report.project is not None:
-        output = render_dot(report.project)
-    elif args.output_format == "json":
-        output = render_json(report)
-    else:
-        output = render_text(report)
-    print(output, end="" if output.endswith("\n") else "\n")
+    print(render_text(report))
     return 0 if report.ok else 1
 
 

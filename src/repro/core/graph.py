@@ -8,18 +8,20 @@ structure to replay the execution of a data set, and because alternative
 recipes are generated by rewriting an existing DAG.
 
 The class is intentionally lightweight (plain dictionaries and lists) but can
-export to :mod:`networkx` for analyses and plotting.
+export to :mod:`networkx` for analyses and plotting; networkx is imported only
+by that export, so the package itself does not need it.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .exceptions import CycleError, GraphError, UnknownTaskError
 from .task import Task, TaskType
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["RecipeGraph"]
 
@@ -243,6 +245,8 @@ class RecipeGraph:
     # ------------------------------------------------------------------ #
     def to_networkx(self) -> nx.DiGraph:
         """Export to a :class:`networkx.DiGraph` (nodes carry task attributes)."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for task in self._tasks.values():
             graph.add_node(

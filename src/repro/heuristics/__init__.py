@@ -1,4 +1,4 @@
-"""Heuristics of Section VI: H0, H1, H2, H31, H32, H32Jump (plus a portfolio)."""
+"""Heuristics of Section VI: H0, H1, H2, H31, H32, H32Jump."""
 
 from .base import BaseHeuristic, HeuristicTrace, IterativeHeuristic, best_single_recipe_split
 from .h0_random import H0RandomSolver
@@ -17,7 +17,6 @@ from .neighborhood import (
     random_split,
     transfer,
 )
-from .portfolio import PortfolioSolver
 
 __all__ = [
     "BaseHeuristic",
@@ -32,7 +31,6 @@ __all__ = [
     "H32SteepestGradientSolver",
     "H4SimulatedAnnealingSolver",
     "steepest_descent",
-    "PortfolioSolver",
     "all_exchanges",
     "exchange_move_arrays",
     "exchange_moves",

@@ -183,8 +183,10 @@ class TestLintCli:
 
     def test_json_format_is_machine_readable(self, tmp_path, capsys):
         target = self._write(tmp_path, "rl006_violation.py")
-        assert cli_main(["lint", str(target), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        report_path = tmp_path / "report.json"
+        assert cli_main(["lint", str(target), "--output", str(report_path)]) == 1
+        capsys.readouterr()
+        payload = json.loads(report_path.read_text(encoding="utf-8"))
         assert payload["clean"] is False
         assert payload["files_checked"] == 1
         assert {f["rule"] for f in payload["findings"]} == {"RL006"}
@@ -202,6 +204,37 @@ class TestLintCli:
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert cli_main(["lint", str(tmp_path / "nope.py")]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("as_directory", [False, True], ids=["file", "directory"])
+    def test_file_that_is_not_utf8_is_a_protocol_finding(self, tmp_path, capsys, as_directory):
+        target = tmp_path / "latin1.py"
+        target.write_bytes(b'x = "\xff\xfe"\n')
+        assert cli_main(["lint", str(tmp_path if as_directory else target)]) == 1
+        out = capsys.readouterr().out
+        assert f"{target}:1:1: {PRAGMA_RULE_ID} file is not UTF-8 text" in out
+
+    @pytest.mark.parametrize("name", ["empty", "README.md"], ids=["empty-directory", "not-python"])
+    def test_run_without_python_files_exits_two(self, tmp_path, capsys, name):
+        # a gate pointed at the wrong path must fail, not pass on nothing
+        target = tmp_path / name
+        if target.suffix:
+            target.write_text("# not python\n", encoding="utf-8")
+        else:
+            target.mkdir()
+        assert cli_main(["lint", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert len(err.splitlines()) == 1
+
+    def test_skipped_directory_names_apply_only_below_the_linted_path(self, tmp_path, capsys):
+        tree = tmp_path / "build" / "pkg"
+        tree.mkdir(parents=True)
+        self._write(tree, "rl006_violation.py")
+        (tree / "build").mkdir()
+        self._write(tree / "build", "rl001_violation.py")
+        assert cli_main(["lint", str(tree)]) == 1
+        out = capsys.readouterr().out
+        assert "RL006" in out and "RL001" not in out
 
     def test_list_rules_describes_every_rule(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0

@@ -1,6 +1,5 @@
 """Whole-program lint tests: the project-rule fixtures, call-graph
-determinism, the sha256-keyed incremental cache, and the ``--project`` CLI
-surface.
+determinism, and the CLI surface of linting a directory.
 
 Project fixtures are *directories* under ``lint_fixtures/project/`` — each a
 small multi-module tree whose files carry the same ``# lint-path:`` headers
@@ -12,18 +11,14 @@ and must come back empty.
 import json
 import random
 import re
-import time
 from pathlib import Path
 
 import pytest
 
-import repro
 from repro.analysis.lint import (
-    AnalysisCache,
     lint_paths,
     lint_sources,
     make_rule_sets,
-    render_dot,
     render_json,
     rule_ids,
 )
@@ -125,7 +120,7 @@ class TestProjectRuleFixtures:
             make_rule_sets(["RL101"], project=False)
 
 
-class TestDeterminismAndCache:
+class TestDeterminism:
     @pytest.fixture()
     def tree(self, tmp_path):
         root = tmp_path / "tree"
@@ -133,58 +128,18 @@ class TestDeterminismAndCache:
         files += materialize_tree("rl103_violation", root)
         return root, files
 
-    def test_cold_warm_and_shuffled_runs_are_byte_identical(self, tree, tmp_path):
+    def test_cold_warm_and_shuffled_runs_are_byte_identical(self, tree):
         root, files = tree
-        cache = AnalysisCache(tmp_path / "cache.jsonl")
-        cold = lint_paths([root], project=True, cache=cache)
-        warm = lint_paths([root], project=True, cache=cache)
+        first = lint_paths([root])
+        second = lint_paths([root])
         shuffled = list(files)
         random.Random(20260808).shuffle(shuffled)
-        reordered = lint_paths(shuffled, project=True, cache=cache)
-        assert render_json(cold) == render_json(warm) == render_json(reordered)
-        assert render_dot(cold.project) == render_dot(warm.project)
-        assert {f.rule_id for f in cold.findings} >= {"RL101", "RL103"}
-
-    def test_warm_run_reanalyzes_only_touched_modules(self, tree, tmp_path):
-        root, _ = tree
-        cache = AnalysisCache(tmp_path / "cache.jsonl")
-        cold = lint_paths([root], project=True, cache=cache)
-        assert cold.reanalyzed == cold.files
-        warm = lint_paths([root], project=True, cache=cache)
-        assert warm.reanalyzed == ()
-        touched = root / "simulation" / "reporting.py"
-        touched.write_text(
-            touched.read_text(encoding="utf-8") + "\n# touched\n", encoding="utf-8"
-        )
-        third = lint_paths([root], project=True, cache=cache)
-        assert third.reanalyzed == (str(touched),)
-        assert render_json(third) == render_json(cold)
-
-    def test_cache_survives_a_torn_tail(self, tree, tmp_path):
-        root, _ = tree
-        cache_path = tmp_path / "cache.jsonl"
-        lint_paths([root], project=True, cache=cache_path)
-        with cache_path.open("a", encoding="utf-8") as handle:
-            handle.write('{"sha256": "deadbeef", "path": "x.py", "trunc')
-        warm = lint_paths([root], project=True, cache=cache_path)
-        assert warm.reanalyzed == ()
-
-    def test_warm_cache_run_is_at_least_3x_faster(self, tmp_path):
-        # the real tree is the only corpus big enough to time reliably; the
-        # 32x ratio observed in development leaves a wide margin over 3x
-        package_root = Path(repro.__file__).resolve().parent
-        cache = AnalysisCache(tmp_path / "cache.jsonl")
-        start = time.perf_counter()
-        cold = lint_paths([package_root], project=True, cache=cache)
-        cold_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        warm = lint_paths([package_root], project=True, cache=cache)
-        warm_elapsed = time.perf_counter() - start
-        assert warm.reanalyzed == ()
-        assert render_json(cold) == render_json(warm)
-        assert warm_elapsed * 3 <= cold_elapsed, (
-            f"warm {warm_elapsed:.3f}s vs cold {cold_elapsed:.3f}s"
-        )
+        # the same modules in another order through the one driver loop
+        reordered = lint_sources([(str(f), f.read_bytes()) for f in shuffled])
+        assert render_json(first) == render_json(second) == render_json(reordered)
+        assert first.project is not None and second.project is not None
+        assert first.project.edges == second.project.edges
+        assert {f.rule_id for f in first.findings} >= {"RL101", "RL103"}
 
 
 class TestProjectCli:
@@ -200,27 +155,21 @@ class TestProjectCli:
         materialize_tree("rl101_clean", root)
         return root
 
-    @staticmethod
-    def _cache_args(tmp_path):
-        return ["--cache", str(tmp_path / "cli-cache.jsonl")]
-
-    def test_directories_default_to_project_mode(self, violation_dir, tmp_path, capsys):
-        code = cli_main(["lint", str(violation_dir)] + self._cache_args(tmp_path))
-        assert code == 1
+    def test_directories_default_to_project_mode(self, violation_dir, capsys):
+        assert cli_main(["lint", str(violation_dir)]) == 1
         assert "RL101" in capsys.readouterr().out
 
     def test_no_project_disables_the_project_rules(self, violation_dir, capsys):
-        assert cli_main(["lint", str(violation_dir), "--no-project"]) == 0
+        # the same tree passed as files runs only the per-file rules
+        files = [str(path) for path in sorted(violation_dir.rglob("*.py"))]
+        assert cli_main(["lint"] + files) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_output_writes_json_report_and_keeps_text_on_stdout(
         self, violation_dir, tmp_path, capsys
     ):
         report_path = tmp_path / "report.json"
-        code = cli_main(
-            ["lint", str(violation_dir), "--output", str(report_path)]
-            + self._cache_args(tmp_path)
-        )
+        code = cli_main(["lint", str(violation_dir), "--output", str(report_path)])
         assert code == 1
         out = capsys.readouterr().out
         assert "RL101" in out and not out.startswith("{")
@@ -228,19 +177,30 @@ class TestProjectCli:
         assert payload["clean"] is False
         assert {f["rule"] for f in payload["findings"]} == {"RL101"}
 
-    def test_graph_dot_renders_the_call_graph(self, clean_dir, tmp_path, capsys):
-        code = cli_main(
-            ["lint", str(clean_dir), "--graph", "dot"] + self._cache_args(tmp_path)
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("digraph")
-        assert "dispatch" in out and "summary_line" in out
+    def test_run_writes_nothing_but_its_output(self, violation_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        before = set(tmp_path.rglob("*"))
+        report_path = tmp_path / "report.json"
+        assert cli_main(["lint", str(violation_dir), "--output", str(report_path)]) == 1
+        assert set(tmp_path.rglob("*")) - before == {report_path}
 
-    def test_graph_without_project_mode_exits_two(self, clean_dir, capsys):
-        target = clean_dir / "simulation" / "engine.py"
-        assert cli_main(["lint", str(target), "--graph", "dot"]) == 2
-        assert "--project" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--project"],
+            ["--no-project"],
+            ["--graph", "dot"],
+            ["--cache", "lint-cache.jsonl"],
+            ["--no-cache"],
+            ["--format", "json"],
+        ],
+        ids=["project", "no-project", "graph", "cache", "no-cache", "format"],
+    )
+    def test_retired_settings_exit_two(self, clean_dir, capsys, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["lint", str(clean_dir)] + flags)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
 
     def test_project_rule_on_single_file_exits_two(self, clean_dir, capsys):
         target = clean_dir / "simulation" / "engine.py"

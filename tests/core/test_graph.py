@@ -1,8 +1,14 @@
 """Unit tests for repro.core.graph (recipe DAGs)."""
 
-import networkx as nx
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core import CycleError, GraphError, RecipeGraph, Task, UnknownTaskError
 
 
@@ -171,7 +177,31 @@ class TestTransformations:
 
 
 class TestNetworkxInterop:
+    def test_package_imports_without_networkx(self):
+        # networkx is an optional dependency: only to_networkx imports it
+        code = textwrap.dedent(
+            """
+            import sys
+
+            class BlockNetworkx:
+                def find_spec(self, name, path=None, target=None):
+                    if name.partition(".")[0] == "networkx":
+                        raise ModuleNotFoundError(f"No module named {name!r}")
+                    return None
+
+            sys.meta_path.insert(0, BlockNetworkx())
+            import repro, repro.cli
+            assert "networkx" not in sys.modules
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_round_trip(self):
+        nx = pytest.importorskip("networkx")
         recipe = build_diamond()
         graph = recipe.to_networkx()
         assert isinstance(graph, nx.DiGraph)
@@ -181,6 +211,7 @@ class TestNetworkxInterop:
         assert back.edges() == recipe.edges()
 
     def test_from_networkx_requires_task_type(self):
+        nx = pytest.importorskip("networkx")
         graph = nx.DiGraph()
         graph.add_node(0)
         with pytest.raises(GraphError):
