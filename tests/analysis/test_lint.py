@@ -20,6 +20,7 @@ import pytest
 from repro.analysis.lint import (
     PRAGMA_RULE_ID,
     available_rules,
+    lint_paths,
     lint_source,
     make_rules,
     rule_ids,
@@ -160,6 +161,28 @@ class TestPragmas:
         )
         got = lint_pairs(stripped, path)
         assert got == [(pragma_line + 1, "RL001")]
+
+
+class TestModeFollowsInput:
+    @pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.py")))
+    def test_directory_run_adds_only_the_project_rules(self, tmp_path, fixture):
+        # on disk at its lint-path, a fixture passed as a file gets the
+        # per-file rules with the findings of its virtual path; passed as a
+        # directory it gets all 13 rules and the same per-file findings
+        source, path, _ = load_fixture(fixture)
+        target = tmp_path / path
+        target.parent.mkdir(parents=True)
+        target.write_text(source, encoding="utf-8")
+        as_file = lint_paths([target])
+        as_directory = lint_paths([tmp_path])
+        assert as_file.project is None and as_directory.project is not None
+        file_ids = [rule.id for rule in available_rules() if rule.scope == "file"]
+        assert list(as_file.rule_ids) == file_ids
+        assert list(as_directory.rule_ids) == list(rule_ids())
+        assert sorted((f.line, f.rule_id) for f in as_file.findings) == lint_pairs(source, path)
+        project_ids = set(rule_ids()) - set(file_ids)
+        per_file = [f for f in as_directory.findings if f.rule_id not in project_ids]
+        assert per_file == list(as_file.findings)
 
 
 class TestLintCli:

@@ -115,6 +115,30 @@ class TestProjectRuleFixtures:
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.ok, f"clean twin {dirname} is not clean:\n{rendered}"
 
+    @pytest.mark.parametrize(
+        "dirname",
+        sorted(
+            name
+            for d in PROJECT_VIOLATION_TREES.values()
+            for name in (d, d.replace("violation", "clean"))
+        ),
+    )
+    def test_tree_on_disk_lints_like_the_in_memory_tree(self, tmp_path, dirname):
+        # read from disk under real paths, a tree resolves its modules and
+        # scopes its rules exactly as under its virtual lint-paths; messages
+        # that name another file name it by its real path
+        materialize_tree(dirname, tmp_path)
+        sources, _ = load_tree(dirname)
+        on_disk = lint_paths([tmp_path])
+        in_memory = lint_sources(sources)
+        assert len(on_disk.files) == len(sources)
+        prefix = f"{tmp_path}/"
+        assert [
+            (f.path.removeprefix(prefix), f.line, f.col, f.rule_id, f.message.replace(prefix, ""))
+            for f in on_disk.findings
+        ] == [(f.path, f.line, f.col, f.rule_id, f.message) for f in in_memory.findings]
+        assert len(on_disk.project.functions) == len(in_memory.project.functions)
+
     def test_project_rules_refuse_to_run_per_file(self):
         with pytest.raises(ConfigurationError, match="whole-program"):
             make_rule_sets(["RL101"], project=False)
