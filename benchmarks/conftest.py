@@ -1,14 +1,10 @@
-"""Shared configuration of the benchmark harness.
+"""The sweep scale of ``bench_figures.py``, the one pytest module here.
 
-Every benchmark regenerates one of the paper's tables or figures.  To keep
-``pytest benchmarks/ --benchmark-only`` laptop-friendly the sweeps run with a
-reduced number of random configurations and a coarser throughput grid by
-default; set the environment variable ``REPRO_BENCH_PAPER_SCALE=1`` to use the
-paper's full protocol (100 configurations, throughput 20..200 step 10, 100 s
-ILP time limit for Figure 8).
-
-Each benchmark prints the regenerated series/table after measuring it, so the
-benchmark log doubles as the artefact for EXPERIMENTS.md.
+Its figure and ablation checks run with a reduced number of random
+configurations and a coarser throughput grid by default; set the environment
+variable ``REPRO_BENCH_PAPER_SCALE=1`` to use the paper's full protocol (100
+configurations, throughput 20..200 step 10, 100 s ILP time limit for Figure
+8).  Each check prints its regenerated series, so the log is the artefact.
 """
 
 from __future__ import annotations

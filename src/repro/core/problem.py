@@ -14,6 +14,7 @@ throughputs) and a target throughput ``rho``.  It exposes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -63,9 +64,11 @@ class MinCostProblem:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.target_throughput <= 0:
+        # NaN compares false with everything, so test for the good case
+        if not (math.isfinite(self.target_throughput) and self.target_throughput > 0):
             raise ProblemError(
-                f"target throughput must be positive, got {self.target_throughput}"
+                "target throughput must be a finite positive number, "
+                f"got {self.target_throughput}"
             )
         self.application.validate()
         self.platform.validate()

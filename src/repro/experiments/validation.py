@@ -40,8 +40,8 @@ the sweep priced.  Simulation is
 fully deterministic — stochastic scenarios draw from seeds derived per
 (configuration, rho, scenario) with :func:`~repro.utils.rng.stable_text_digest`
 — so serial, parallel and interrupt-and-resume campaigns produce
-byte-identical record lines; ``benchmarks/bench_validation.py`` and
-``benchmarks/bench_scenarios.py`` assert this.  The seed leaves the algorithm
+byte-identical record lines; ``tests/experiments/test_validation.py`` asserts
+this, with and without stochastic scenarios.  The seed leaves the algorithm
 out (common random numbers), so every algorithm at a grid point faces the
 same arrivals and failures, and a work unit simulates each distinct
 allocation once however many algorithms returned it.  The seed leaves the

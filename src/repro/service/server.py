@@ -14,11 +14,13 @@ resumes every interrupted study from its checkpoints.
 from __future__ import annotations
 
 import json
+import math
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
+from ..core.exceptions import ConfigurationError
 from ..utils.timing import timed
 from .errors import ServiceError
 from .jobs import JobManager
@@ -128,6 +130,13 @@ def serve(
     and the process exits 0 — everything needed to resume lives in the
     store root.
     """
+    # refused before the job manager exists: it resubmits journaled jobs
+    if not 0 <= port <= 65535:
+        raise ConfigurationError(f"port must be in 0-65535, got {port}")
+    if not (math.isfinite(request_timeout) and request_timeout > 0):
+        raise ConfigurationError(
+            f"request timeout must be a finite number of seconds > 0, got {request_timeout}"
+        )
     if echo is None:
         echo = lambda message: print(message, flush=True)  # noqa: E731
     metrics = ServiceMetrics()

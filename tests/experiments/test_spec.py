@@ -323,8 +323,8 @@ class _Interrupt(Exception):
 class TestResumeIdentity:
     def test_resumed_study_identical_to_uninterrupted(self, tmp_path):
         """A study interrupted mid-pipeline and resumed from its JSON file
-        reproduces the uninterrupted run exactly (the bench_* identity
-        criterion: record identities for the sweep, bytes for the campaign)."""
+        reproduces the uninterrupted run exactly (record identities for the
+        sweep, bytes for the campaign)."""
         spec = tiny_spec(
             workload=WorkloadSpec(setting="small", num_configurations=2,
                                   target_throughputs=(60, 90)),
@@ -356,6 +356,37 @@ class TestResumeIdentity:
         full = (tmp_path / "full" / "tiny-validation.jsonl").read_bytes()
         partial = (tmp_path / "resumed" / "tiny-validation.jsonl").read_bytes()
         assert full == partial
+
+
+def _campaign_lines(result) -> list[str]:
+    return [
+        json.dumps(record.as_dict(), sort_keys=True, separators=(",", ":"))
+        for record in result.campaign.records
+    ]
+
+
+class TestPoolIdentity:
+    def test_pool_study_identical_to_serial(self):
+        """Both stages on the backend ``ExecutionSpec.build_backend()`` returns
+        for 2 workers give the serial run's sweep identities and campaign bytes."""
+        spec = tiny_spec(
+            workload=WorkloadSpec(setting="small", num_configurations=2,
+                                  target_throughputs=(60, 90)),
+            validation=ValidationSpec(
+                horizons=(4.0, 6.0),
+                rate_multipliers=(1.0, 1.05),
+                scenarios=(ScenarioSpec(),
+                           ScenarioSpec(name="poisson", arrival=PoissonArrivals())),
+            ),
+        )
+        serial = Study.from_spec(spec).run()
+        pooled = Study.from_spec(spec.with_execution(workers=2)).run()
+
+        assert len(serial.campaign.records) == 96
+        assert [r.identity() for r in pooled.sweep.records] == [
+            r.identity() for r in serial.sweep.records
+        ]
+        assert _campaign_lines(pooled) == _campaign_lines(serial)
 
 
 class TestScreenSpec:

@@ -73,6 +73,29 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--port", "-1"), ("--port", "65536"), ("--request-timeout", "0"),
+         ("--request-timeout", "-1"), ("--request-timeout", "nan"),
+         ("--request-timeout", "inf")],
+    )
+    def test_serve_refuses_unusable_port_or_timeout_before_binding(
+        self, capsys, tmp_path, monkeypatch, flag, value
+    ):
+        import repro.service.server as server
+
+        def bind(*_args, **_kwargs):
+            raise AssertionError("serve bound a port despite a value it cannot use")
+
+        monkeypatch.setattr(server, "StudyService", bind)
+        root = tmp_path / "state"
+        argv = ["serve", "--store-root", str(root), "--port", "0", flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # refused before the job manager could create the root or recover jobs
+        assert not root.exists()
+
     def test_serve_requires_store_root(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve"])
@@ -439,6 +462,15 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(binary) in err
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+@pytest.mark.parametrize("algorithm", ["H1", "ILP"])
+def test_non_finite_rho_is_refused(capsys, algorithm, rho):
+    assert main(["solve", "--algorithm", algorithm, "--rho", rho]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "target throughput" in err
 
 
 def _tiny_figure_args(sweep_file):
