@@ -311,8 +311,8 @@ def bench_pool(plan: ValidationPlan) -> dict:
     serial = run_validation(plan)
     serial_seconds = time.perf_counter() - t0
 
-    # the process's first pool pays the forkserver start-up whatever it runs:
-    # time that on one work unit, then measure the campaign on a warm server
+    # the first pool run starts the forkserver and the workers whatever it
+    # runs: time that on one work unit; the campaign below reuses that pool
     t0 = time.perf_counter()
     for _ in ProcessPoolBackend(POOL_WORKERS).run(plan, plan_validation_units(plan)[:1]):
         pass

@@ -20,7 +20,10 @@ Two backends are provided:
 * :class:`ProcessPoolBackend` — a :class:`concurrent.futures.ProcessPoolExecutor`
   fan-out that yields results in completion order.  The driver
   (:func:`run_units`) reassembles records in canonical unit order, so
-  completion order never leaks into results.
+  completion order never leaks into results.  A process keeps one warm
+  executor per width: the first run that has work creates it, and every
+  later run of that width (both stages of a study, every job of ``serve``)
+  reuses it until :func:`shutdown_pools` or interpreter exit.
 
 :func:`run_units` is the one fan-out driver: resume from a checkpoint store,
 serve memoised units, stream the rest through a backend, checkpoint and
@@ -33,7 +36,17 @@ same machinery.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import hashlib
+import os
+import pickle
+import shutil
+import tempfile
+import threading
+import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
@@ -53,7 +66,13 @@ __all__ = [
     "SerialBackend",
     "ProcessPoolBackend",
     "make_backend",
+    "shutdown_pools",
 ]
+
+#: The pid of the process that imported this module.  A forkserver worker
+#: whose server preloaded the package inherits the server's pid here; a
+#: worker that finds its own pid had to import the package itself.
+_IMPORTED_BY = os.getpid()
 
 
 def make_backend(workers: int | None) -> "ExecutionBackend | None":
@@ -158,31 +177,25 @@ def plan_work_units(plan: ExperimentPlan, *, chunk_size: int | None = None) -> l
     return units
 
 
-#: The plan and unit list of the pool this worker process belongs to, set once
-#: by the pool initializer.  Shipping both per *worker* instead of per
-#: *submit* matters for validation campaigns, whose plan embeds every
-#: captured allocation payload and can reach megabytes at paper scale — per
-#: task only a bare integer position travels over the pipe, and the
-#: plan-derived worker state (configurations, problems, allocations;
-#: see ``_plan_context`` in :mod:`repro.experiments.validation`) is built
-#: once per worker process and reused across every unit it executes.
-_WORKER_PLAN = None
-_WORKER_UNITS: tuple = ()
+#: The plan this worker process last loaded, as ``(digest, plan)``.  A task
+#: names its plan by digest and spill-file path, and the worker unpickles the
+#: file only when the digest changes, so the plan and the context a campaign
+#: derives from it (``_plan_context`` in :mod:`repro.experiments.validation`)
+#: stay warm across every unit, and every run, of one plan.
+_LOADED_PLAN: tuple[str, Any] = ("", None)
 
 
-def _initialize_worker(plan, units: tuple) -> None:
-    global _WORKER_PLAN, _WORKER_UNITS
-    _WORKER_PLAN = plan
-    _WORKER_UNITS = units
+def _execute_spilled(digest: str, spill: str, unit, **options) -> tuple[list, bool]:
+    """Worker entry point: run ``unit`` against the plan spilled at ``spill``.
 
-
-def _execute_indexed(position: int, **options):
-    """Worker entry point of the index-only submission path.
-
-    ``position`` indexes the unit tuple the initializer shipped — the task
-    payload over the pipe is one integer, never a pickled unit.
+    The second value is true when this worker imported the package itself,
+    that is when the forkserver's preload did not take.
     """
-    return _WORKER_UNITS[position].execute(_WORKER_PLAN, **options)
+    global _LOADED_PLAN
+    if _LOADED_PLAN[0] != digest:
+        with open(spill, "rb") as handle:
+            _LOADED_PLAN = (digest, pickle.load(handle))
+    return unit.execute(_LOADED_PLAN[1], **options), _IMPORTED_BY == os.getpid()
 
 
 @runtime_checkable
@@ -208,24 +221,121 @@ class SerialBackend:
             yield unit, unit.execute(plan, **options)
 
 
+def _mp_context():
+    """The start method for pool workers, forkserver where it can work."""
+    import multiprocessing
+    import sys
+
+    methods = multiprocessing.get_all_start_methods()
+    # forkserver (like spawn) re-imports __main__ in the server; a driver
+    # run from stdin / `python -c` / a REPL has no importable main module,
+    # so fall back to plain fork there rather than crash the pool
+    main = sys.modules.get("__main__")
+    main_file = getattr(main, "__file__", None)
+    main_importable = main_file is not None and Path(main_file).exists()
+    if "forkserver" in methods and main_importable:
+        context = multiprocessing.get_context("forkserver")
+        # the server imports this package and scipy once, and every worker
+        # forks from that warmed-up image instead of importing them again
+        context.set_forkserver_preload(["repro.experiments.backends", "scipy.optimize"])
+        return context
+    if "fork" in methods:
+        return multiprocessing.get_context("fork")
+    return None  # platform default (spawn on Windows/macOS)
+
+
+class _Pool:
+    """A process's warm executor of one width and the directory its runs spill to."""
+
+    def __init__(self, workers: int) -> None:
+        context = _mp_context()
+        self.forkserver = context is not None and context.get_start_method() == "forkserver"
+        self.executor = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        self.spill_dir = tempfile.mkdtemp(prefix="repro-pool-")
+
+    def close(self, *, wait: bool = True) -> None:
+        self.executor.shutdown(wait=wait, cancel_futures=True)
+        shutil.rmtree(self.spill_dir, ignore_errors=True)
+
+
+#: Warm pools by (creating pid, width).  A forked child looks up its own pid,
+#: so it never reuses, nor closes, an executor its parent created.
+_POOLS: dict[tuple[int, int], _Pool] = {}
+_POOLS_LOCK = threading.Lock()  # serve's job threads share the registry
+_PRELOAD_WARNED = False
+
+
+def _pool(workers: int) -> _Pool:
+    key = (os.getpid(), workers)
+    with _POOLS_LOCK:
+        pool = _POOLS.get(key)
+        if pool is None:
+            pool = _POOLS[key] = _Pool(workers)
+        return pool
+
+
+def _evict(workers: int, pool: _Pool) -> None:
+    key = (os.getpid(), workers)
+    with _POOLS_LOCK:
+        if _POOLS.get(key) is pool:
+            del _POOLS[key]
+    pool.close(wait=False)
+
+
+def shutdown_pools() -> None:
+    """Close this process's warm pools and wait for their workers to exit.
+
+    The next pool run creates a fresh pool.  ``serve``'s drain calls this
+    once its jobs have stopped; interpreter exit calls it too.
+    """
+    with _POOLS_LOCK:
+        pools = [_POOLS.pop(key) for key in list(_POOLS) if key[0] == os.getpid()]
+    for pool in pools:
+        pool.close()
+
+
+atexit.register(shutdown_pools)
+
+
+def _warn_preload_failed() -> None:
+    global _PRELOAD_WARNED
+    with _POOLS_LOCK:
+        if _PRELOAD_WARNED:
+            return
+        _PRELOAD_WARNED = True
+    warnings.warn(
+        "process-pool workers import repro themselves because the forkserver "
+        "could not preload it: repro is importable here only through a "
+        "runtime sys.path edit, which the forkserver does not apply, so every "
+        "worker pays the package import; set PYTHONPATH to the directory "
+        "holding repro, or install the package",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
 class ProcessPoolBackend:
     """Process-pool execution: units are farmed out to worker processes.
 
     Results are yielded in completion order (so checkpointing and progress
     track real progress); the driver reassembles them in canonical unit
-    order.  At most ``4 * workers`` tasks are in flight, so a
+    order.  At most ``4 * workers`` tasks of a run are in flight, so a
     100-configuration sweep does not queue every unit up front.
 
-    Worker state is persistent: the plan and the full unit list ship once per
-    worker process (pool initializer), each submitted task is a bare unit
-    *position*, and plan-derived objects (configurations, problems,
-    allocations) are cached process-wide on the worker side and reused across
-    every unit the worker executes — so a unit costs one integer over the
-    pipe however small it is.  The default start method is ``forkserver``
-    (where available) with this module preloaded, so worker processes fork
-    from a small warmed-up server instead of the full driver process.  Only
-    the first pool of a process pays the server's start-up; later pools
-    reuse the running server.
+    The executor is shared: a process keeps one per width, created by the
+    first run that has work and kept warm for every later run — both stages
+    of a study, every job of ``serve``.  A run pickles its plan once, into a
+    spill file; each task carries only its unit, the plan's digest and the
+    file's path, and a worker keeps the last plan it loaded (and the
+    plan-derived configurations, problems and allocations) until a task
+    names another digest.  The default start method is ``forkserver``
+    (where available) with this package and scipy preloaded, so workers
+    fork from a small warmed-up server instead of the full driver process.
+    Only the first pool of a process pays the server's start-up.
+
+    Abandoning a run (Ctrl-C, a raising progress hook, ``serve``'s drain)
+    cancels that run's queued units and leaves the pool up; a worker that
+    dies breaks the pool, which that run raises and the next run replaces.
     """
 
     def __init__(self, workers: int) -> None:
@@ -233,69 +343,47 @@ class ProcessPoolBackend:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
 
-    def _context(self):
-        import multiprocessing
-        import sys
-
-        methods = multiprocessing.get_all_start_methods()
-        # forkserver (like spawn) re-imports __main__ in the server; a driver
-        # run from stdin / `python -c` / a REPL has no importable main module,
-        # so fall back to plain fork there rather than crash the pool
-        main = sys.modules.get("__main__")
-        main_file = getattr(main, "__file__", None)
-        main_importable = main_file is not None and Path(main_file).exists()
-        if "forkserver" in methods and main_importable:
-            context = multiprocessing.get_context("forkserver")
-            # preload so the server imports this package once and every worker
-            # forks from the warmed-up image instead of re-importing repro
-            context.set_forkserver_preload(["repro.experiments.backends"])
-            return context
-        if "fork" in methods:
-            return multiprocessing.get_context("fork")
-        return None  # platform default (spawn on Windows/macOS)
-
     def run(self, plan, units: Sequence, **options) -> Iterator[tuple]:
         queue = tuple(units)
         if not queue:  # e.g. resuming an already-complete checkpoint
             return
-        # the plan and the unit tuple are pickled once per worker
-        # (initializer), not once per submitted task — per task only the
-        # integer position travels over the pipe
-        pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=self._context(),
-            initializer=_initialize_worker,
-            initargs=(plan, queue),
-        )
-        finished = False
+        pool = _pool(self.workers)
+        data = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
+        digest = hashlib.sha256(data).hexdigest()
+        handle, spill = tempfile.mkstemp(suffix=".plan", dir=pool.spill_dir)
+        with os.fdopen(handle, "wb") as file:
+            file.write(data)
+        pending: dict = {}
 
-        def submit(position):
-            return pool.submit(_execute_indexed, position, **options)
+        def submit(unit) -> None:
+            pending[pool.executor.submit(_execute_spilled, digest, spill, unit, **options)] = unit
 
         try:
-            pending = {}
             position = 0
             while position < len(queue) and len(pending) < 4 * self.workers:
-                pending[submit(position)] = queue[position]
+                submit(queue[position])
                 position += 1
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     unit = pending.pop(future)
-                    yield unit, future.result()
+                    records, imported_in_worker = future.result()
+                    if imported_in_worker and pool.forkserver:
+                        _warn_preload_failed()
+                    yield unit, records
                     if position < len(queue):
-                        pending[submit(position)] = queue[position]
+                        submit(queue[position])
                         position += 1
-            finished = True
+        except BrokenProcessPool:
+            _evict(self.workers, pool)
+            raise
         finally:
-            if finished:
-                pool.shutdown(wait=True)
-            else:
-                # interrupted (Ctrl-C, a raising store/progress hook, or the
-                # driver abandoning the generator): drop queued units and do
-                # not block on in-flight ones — the checkpoint already holds
-                # every unit that was yielded
-                pool.shutdown(wait=False, cancel_futures=True)
+            # finished, failed or abandoned: drop this run's queued units
+            # (the checkpoint already holds every unit that was yielded)
+            for future in pending:
+                future.cancel()
+            with contextlib.suppress(FileNotFoundError):  # gone with a broken pool
+                os.unlink(spill)
 
 
 def run_units(

@@ -552,11 +552,11 @@ class _ExecutionContext:
     Built once per (process, plan) by :func:`_plan_context` and reused across
     every work unit the process executes — this is the persistent worker
     state behind the :class:`~repro.experiments.backends.ProcessPoolBackend`
-    (whose initializer ships the plan once per worker), and an equal win for
-    serial runs.  Everything cached here is a pure function of the plan:
-    configurations regenerate from the sweep seeds, problems from the
-    configuration, allocations from the captured payload — so reuse cannot
-    change a single record byte.
+    (whose workers keep the last plan they loaded, across units and runs),
+    and an equal win for serial runs.  Everything cached here is a pure
+    function of the plan: configurations regenerate from the sweep seeds,
+    problems from the configuration, allocations from the captured payload
+    — so reuse cannot change a single record byte.
     """
 
     def __init__(self, plan: ValidationPlan) -> None:
@@ -598,9 +598,11 @@ _CONTEXT: "_ExecutionContext | None" = None
 def _plan_context(plan: ValidationPlan) -> _ExecutionContext:
     """The process-wide execution context of ``plan`` (one live slot).
 
-    Keyed by object identity: in a pool worker the plan is the one object the
-    initializer shipped, so all units the worker executes share a context;
-    a serial driver running several plans in turn rebuilds the slot per plan.
+    Keyed by object identity: a pool worker keeps the plan it loaded from a
+    run's spill file until a task names another plan's digest, so every unit
+    of that plan the worker executes, in this run or a later one, shares a
+    context; a serial driver running several plans in turn rebuilds the slot
+    per plan.
     """
     global _CONTEXT
     if _CONTEXT is None or _CONTEXT.plan is not plan:

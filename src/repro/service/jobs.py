@@ -8,7 +8,9 @@ share its results.  The :class:`JobManager` runs jobs on a bounded thread
 pool; each job drives the ordinary :class:`repro.api.Study` pipeline with a
 service-owned :class:`~repro.experiments.spec.ExecutionSpec`: its own
 checkpoint store directory under the service's store root, ``resume=True``,
-the shared memo cache, and optionally a process pool.
+the shared memo cache, and optionally the process pool that every running
+job shares (one per ``serve`` process, kept warm from the first pooled job
+until the drain).
 
 Restart safety rests on two pieces of the existing machinery plus one new
 file:
@@ -36,6 +38,7 @@ from pathlib import Path
 from typing import Mapping
 
 from ..core.exceptions import ConfigurationError
+from ..experiments.backends import shutdown_pools
 from ..experiments.spec import ExecutionSpec, StudySpec, study_fingerprint
 from ..io import MALFORMED_ROW_ERRORS, append_jsonl, malformed_row, read_jsonl
 from .errors import NotFound
@@ -204,10 +207,11 @@ class JobJournalStore:
 class JobManager:
     """Deduplicated study execution on a bounded worker pool.
 
-    ``jobs`` bounds how many studies execute concurrently (each may itself
-    fan out over ``workers`` processes).  ``submit`` is the dedup point:
-    under one lock, an already-known fingerprint attaches to the existing
-    job — whatever its state — and a new one is journaled and queued.  All
+    ``jobs`` bounds how many studies execute concurrently; with ``workers``
+    they fan out over the one ``workers``-wide process pool they share.
+    ``submit`` is the dedup point: under one lock, an already-known
+    fingerprint attaches to the existing job — whatever its state — and a
+    new one is journaled and queued.  All
     jobs share one memo cache (safe: :class:`ResultMemoStore` appends under
     an advisory file lock), so a study submitted twice — even across
     restarts or store roots — is answered from cache without recompute.
@@ -407,9 +411,12 @@ class JobManager:
 
         Sets the stop flag (running jobs raise out of their progress
         callback *after* the current unit's checkpoint line is fsynced),
-        cancels jobs still queued, and waits for the pool to empty.  The
-        journal still lists the interrupted jobs as ``submitted``, so
+        cancels jobs still queued, and waits for the job threads to empty.
+        Then it closes the shared process pool and waits for its workers to
+        exit, so a forkserver stopped after it has no child left to wait on.
+        The journal still lists the interrupted jobs as ``submitted``, so
         :meth:`recover` picks them up on the next start.
         """
         self._stopping.set()
         self._pool.shutdown(wait=True, cancel_futures=True)
+        shutdown_pools()

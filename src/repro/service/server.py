@@ -22,7 +22,7 @@ from typing import Callable
 
 from ..core.exceptions import ConfigurationError
 from ..utils.timing import timed
-from .errors import ServiceError
+from .errors import BadRequest, ServiceError
 from .jobs import JobManager
 from .metrics import ServiceMetrics
 from .routes import Router
@@ -104,7 +104,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return  # client gone or socket timed out: nothing left to answer
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        header = self.headers.get("Content-Length", "") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise BadRequest(f"Content-Length must be a non-negative integer, got {header!r}")
         return self.rfile.read(length) if length > 0 else b""
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002

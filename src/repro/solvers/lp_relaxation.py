@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..core.exceptions import SolverError
 from ..core.problem import MinCostProblem
@@ -66,6 +65,8 @@ def solve_lp_relaxation(
     lower_bounds, upper_bounds:
         Optional ``(Q + J,)`` vectors of variable bounds (branching decisions).
     """
+    from scipy import optimize
+
     if formulation is None:
         formulation = build_formulation(problem)
     n_vars = formulation.num_types + formulation.num_recipes

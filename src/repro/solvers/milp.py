@@ -16,20 +16,25 @@ optimal objective values, and HiGHS exposes the same time-limit behaviour the
 paper studies in Figure 8.
 
 Variable order: ``[x_1 ... x_Q, rho_1 ... rho_J]``.
+
+scipy is imported by the functions that build and solve, not at module load:
+importing the package (the CLI, ``serve``, ``lint``) never pays for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
-from scipy import optimize, sparse
 
 from ..core.allocation import ThroughputSplit
 from ..core.exceptions import SolverError
 from ..core.problem import MinCostProblem
 from .base import SplitSolver
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["MilpFormulation", "build_formulation", "MilpSolver"]
 
@@ -78,6 +83,8 @@ def build_formulation(problem: MinCostProblem, *, integer_splits: bool = True) -
         solutions are integral.  Set to ``False`` for the continuous
         relaxation of the split (the machine counts stay integral).
     """
+    from scipy import sparse
+
     Q = problem.num_types
     J = problem.num_recipes
     counts = problem.counts  # (J, Q)
@@ -146,6 +153,8 @@ class MilpSolver(SplitSolver):
         self.mip_rel_gap = float(mip_rel_gap)
 
     def solve_split(self, problem: MinCostProblem) -> tuple[ThroughputSplit, dict[str, Any]]:
+        from scipy import optimize
+
         formulation = build_formulation(problem, integer_splits=self.integer_splits)
         options: dict[str, Any] = {"mip_rel_gap": self.mip_rel_gap}
         if self.time_limit is not None:

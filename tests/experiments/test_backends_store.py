@@ -1,16 +1,27 @@
 """Tests for the sweep orchestration layers: backends, checkpoint store, resume."""
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import textwrap
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import ConfigurationError
 from repro.experiments.backends import (
     ProcessPoolBackend,
     SerialBackend,
     WorkUnit,
     plan_work_units,
+    shutdown_pools,
 )
 from repro.experiments.config import AlgorithmSpec, default_plan, plan_from_dict, plan_to_dict
 from repro.experiments.runner import RunRecord, SweepResult, run_plan
@@ -25,6 +36,11 @@ def small_plan(num_configurations=2, throughputs=(50, 100), algorithms=("ILP", "
         iterations=100,
     )
     return replace(plan, algorithms=tuple(a for a in plan.algorithms if a.name in algorithms))
+
+
+def worker_pids() -> set[int]:
+    """Pids of this process's live pool workers (its multiprocessing children)."""
+    return {child.pid for child in multiprocessing.active_children()}
 
 
 def record_key(record: RunRecord) -> tuple:
@@ -123,14 +139,125 @@ class TestProcessPoolBackend:
             ProcessPoolBackend(0)
 
     def test_abandoning_the_result_stream_does_not_block(self):
-        # an interrupted driver closes the generator; the pool must shut down
-        # promptly (cancelling queued units) instead of draining the sweep
+        # an interrupted driver closes the generator; that must return
+        # promptly (cancelling the run's queued units) instead of draining it
         plan = small_plan(num_configurations=3)
         units = plan_work_units(plan)
         stream = ProcessPoolBackend(1).run(plan, units)
         unit, records = next(stream)
         assert records
         stream.close()  # must not hang waiting for the remaining units
+
+
+class TestSharedPool:
+    """One warm executor per (process, width), shared by every run."""
+
+    def test_abandoned_run_leaves_the_pool_warm(self, serial_result):
+        shutdown_pools()  # start from no pool, so every child is this pool's
+        plan = small_plan()
+        stream = ProcessPoolBackend(2).run(plan, plan_work_units(plan, chunk_size=1))
+        assert next(stream)[1]
+        pids = worker_pids()
+        assert len(pids) == 2
+        stream.close()
+        parallel = run_plan(plan, backend=ProcessPoolBackend(2))
+        assert [record_key(r) for r in parallel.records] == [
+            record_key(r) for r in serial_result.records
+        ]
+        assert worker_pids() == pids  # the same workers: no new pool
+
+    def test_killed_worker_fails_its_run_and_the_next_run_gets_a_new_pool(self, serial_result):
+        shutdown_pools()
+        plan = small_plan()
+        stream = ProcessPoolBackend(2).run(plan, plan_work_units(plan, chunk_size=1))
+        next(stream)
+        pids = worker_pids()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            for _ in stream:
+                pass
+        parallel = run_plan(plan, backend=ProcessPoolBackend(2))
+        assert [record_key(r) for r in parallel.records] == [
+            record_key(r) for r in serial_result.records
+        ]
+        assert worker_pids().isdisjoint(pids)
+
+    def test_each_run_removes_its_spill_file_and_closing_removes_the_directory(
+        self, tmp_path, monkeypatch
+    ):
+        plan = small_plan(num_configurations=1)
+        # start the forkserver first: its socket must not land in tmp_path,
+        # whose path may be too long for a socket address
+        run_plan(plan, backend=ProcessPoolBackend(2))
+        shutdown_pools()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # what TMPDIR sets
+        stream = ProcessPoolBackend(2).run(plan, plan_work_units(plan, chunk_size=1))
+        next(stream)
+        pids = worker_pids()
+        (spill_dir,) = tmp_path.glob("repro-pool-*")
+        assert len(list(spill_dir.iterdir())) == 1  # this run's plan, spilled once
+        stream.close()
+        run_plan(plan, backend=ProcessPoolBackend(2))
+        assert list(spill_dir.iterdir()) == []
+        shutdown_pools()
+        assert not spill_dir.exists()
+        assert worker_pids().isdisjoint(pids)  # closing waited for the workers
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="the preload check concerns the forkserver start method",
+    )
+    def test_a_preload_that_did_not_take_warns_once(self, tmp_path):
+        # a driver that reaches repro only through a runtime sys.path edit: the
+        # forkserver's preload fails silently and each worker imports repro
+        src = Path(repro.__file__).resolve().parents[1]
+        driver = tmp_path / "driver.py"
+        driver.write_text(textwrap.dedent(
+            f"""
+            import json
+            import sys
+
+            sys.path.insert(0, {str(src)!r})
+            from dataclasses import replace
+
+            from repro.experiments.backends import ProcessPoolBackend
+            from repro.experiments.config import default_plan
+            from repro.experiments.runner import run_plan
+
+            def lines(result):
+                return [json.dumps(r.identity()) for r in result.records]
+
+            if __name__ == "__main__":
+                plan = default_plan(
+                    "small", num_configurations=2, target_throughputs=(50, 100),
+                    iterations=30,
+                )
+                plan = replace(
+                    plan, algorithms=tuple(a for a in plan.algorithms if a.name in ("ILP", "H1"))
+                )
+                serial = lines(run_plan(plan))
+                for _ in range(2):
+                    assert lines(run_plan(plan, backend=ProcessPoolBackend(2))) == serial
+            """
+        ))
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        warning = "forkserver could not preload"
+
+        def run(extra_env):
+            result = subprocess.run(
+                [sys.executable, "-W", "always::RuntimeWarning", str(driver)],
+                cwd=tmp_path, env={**env, **extra_env},
+                capture_output=True, text=True, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            return result.stderr.count(warning)
+
+        count = run({})
+        assert count <= 1
+        if sys.version_info < (3, 12):  # whose forkserver ignores the driver's sys.path
+            assert count == 1
+        assert run({"PYTHONPATH": str(src)}) == 0
 
 
 class TestStore:

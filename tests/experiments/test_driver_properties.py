@@ -1,9 +1,11 @@
 """Randomised differential test of the fan-out driver (experiments.backends.run_units).
 
-Sweeps and validation campaigns run through one driver; whatever unit size,
-checkpoint store, memo state or interrupt-and-resume history a run has, its
-records must equal those of one uninterrupted serial run, and its checkpoint
-must read back to the same records.
+Sweeps and validation campaigns run through one driver; whatever backend,
+unit size, checkpoint store, memo state or interrupt-and-resume history a run
+has, its records must equal those of one uninterrupted serial run, and its
+checkpoint must read back to the same records.  The pool backend is one
+instance, so every example and both stages of each (the interrupted run and
+its resume included) share one warm pool across different plans.
 """
 
 import json
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.backends import ProcessPoolBackend
 from repro.experiments.config import default_plan
 from repro.experiments.runner import SweepResult, run_plan
 from repro.experiments.store import SweepStore
@@ -28,6 +31,7 @@ from repro.experiments.validation import (
 from repro.simulation import DEFAULT_SCENARIO, PoissonArrivals, ScenarioSpec
 
 SCENARIOS = (DEFAULT_SCENARIO, ScenarioSpec(name="poisson", arrival=PoissonArrivals()))
+BACKENDS = {"serial": None, "pool": ProcessPoolBackend(2)}
 
 
 def sweep_plan(configurations: int):
@@ -100,6 +104,7 @@ def drive(run, store_kind: str, root: Path, store_type, interrupt: int):
 
 @settings(max_examples=20, deadline=None)
 @given(
+    backend=st.sampled_from(sorted(BACKENDS)),
     configurations=st.sampled_from([1, 2]),
     chunk_size=st.sampled_from([None, 1, 2]),
     store_kind=st.sampled_from(["none", "file"]),
@@ -107,7 +112,7 @@ def drive(run, store_kind: str, root: Path, store_type, interrupt: int):
     interrupt=st.integers(min_value=0, max_value=4),
 )
 def test_driver_matches_uninterrupted_serial_run(
-    references, configurations, chunk_size, store_kind, memo_state, interrupt
+    references, backend, configurations, chunk_size, store_kind, memo_state, interrupt
 ):
     expected_sweep, expected_campaign, warm_memo = references[configurations]
     with tempfile.TemporaryDirectory() as tmp:
@@ -121,6 +126,7 @@ def test_driver_matches_uninterrupted_serial_run(
         def sweep_run(**kwargs):
             return run_plan(
                 sweep_plan(configurations),
+                backend=BACKENDS[backend],
                 chunk_size=chunk_size,
                 capture_allocations=True,
                 memo=memo,
@@ -134,7 +140,11 @@ def test_driver_matches_uninterrupted_serial_run(
 
         def campaign_run(**kwargs):
             return run_validation(
-                campaign_plan(sweep), chunk_size=chunk_size, memo=memo, **kwargs
+                campaign_plan(sweep),
+                backend=BACKENDS[backend],
+                chunk_size=chunk_size,
+                memo=memo,
+                **kwargs,
             )
 
         campaign, campaign_path = drive(

@@ -13,8 +13,10 @@ import math
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 import urllib.error
@@ -190,6 +192,25 @@ class TestEndpoints:
         )
         assert status == 400 and "invalid study spec" in payload["message"]
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_a_bad_request(self, service, length):
+        # urllib always sends a valid length, so speak HTTP over a raw socket
+        head = (
+            f"POST /v1/studies HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {length}\r\nConnection: close\r\n\r\n"
+        )
+        with socket.create_connection(("127.0.0.1", service.port), timeout=30) as sock:
+            sock.sendall(head.encode("ascii"))
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        status_line, _, rest = response.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        payload = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert payload["error"] == "bad-request"
+        assert "Content-Length" in payload["message"] and repr(length) in payload["message"]
+        assert service.manager.list_jobs() == []
+
     @pytest.mark.parametrize(
         "algorithm, message",
         [
@@ -326,6 +347,31 @@ class TestRestartAndRecovery:
             ) == canonical_lines([r.as_dict() for r in reference.campaign.records])
         finally:
             second.shutdown()
+
+    def test_drain_closes_the_shared_pool_before_the_forkserver_stops(self, tmp_path):
+        # the sequence of perfbench's traced serve-mixed: the forkserver exits
+        # only once every pool worker has, so a worker left alive hangs _stop()
+        driver = tmp_path / "drain.py"
+        driver.write_text(textwrap.dedent(
+            f"""
+            from multiprocessing import forkserver
+
+            from repro.experiments.spec import StudySpec
+            from repro.service import JobManager
+
+            if __name__ == "__main__":
+                manager = JobManager({str(tmp_path / "state")!r}, jobs=1, workers=2)
+                job, _ = manager.submit(StudySpec.from_dict({tiny_spec_dict()!r}))
+                assert job.wait(timeout=25) and job.state == "done", job.error
+                manager.shutdown()
+                forkserver._forkserver._stop()
+            """
+        ))
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, str(driver)], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_recovered_job_with_format_2_campaign_fails_in_one_line(self, tmp_path):
         # a store root written before campaign format 3: the recovered job

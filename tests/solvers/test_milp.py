@@ -1,13 +1,42 @@
 """Tests for the Section V-C MILP formulation and the HiGHS-backed solver."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import Application, CloudPlatform, MinCostProblem
 from repro.experiments.tables import PAPER_TABLE3_OPTIMAL_COSTS, illustrating_problem
 from repro.solvers import ExhaustiveSolver, MilpSolver, build_formulation
+
+
+def test_package_imports_without_scipy_until_a_solve():
+    # scipy costs ~0.7 s to import; only the functions that solve import it
+    code = textwrap.dedent(
+        """
+        import sys
+
+        import repro, repro.cli, repro.api
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+        from repro.experiments.tables import illustrating_problem
+        from repro.solvers import MilpSolver
+
+        assert MilpSolver().solve(illustrating_problem(70)).cost == 124
+        assert "scipy.optimize" in sys.modules
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestFormulation:
