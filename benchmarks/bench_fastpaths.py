@@ -9,6 +9,12 @@ verdict rests on a number measured on another machine:
   of the seed scalar loop (one copy + one dense ``evaluate_split`` per
   neighbour); bitwise-identical best costs, and (full mode) >= 5x faster.
   **micro** reports the per-candidate cost of each evaluator tier, ungated;
+* **random walks**: H2 and H31 (1000 iterations) on the same Fig. 3
+  configurations and the J=50 / Q=20 instance, through the solvers and
+  through a replica of the numpy walk they replaced (``rng.choice`` of the
+  loaded recipes, ``_snap_ceil`` over each pair's type mask); per solve a
+  bitwise-identical best split, best cost and iteration count, and (full
+  mode) the solvers >= 1.5x faster;
 * **DES engine**: every cell of a scenario campaign through ``StreamSimulator``
   with ``engine="fast"`` and ``"reference"``; equal reports once the fast
   engine's ``event_counters`` are stripped, and the fast engine >= 2x faster;
@@ -36,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import MinCostProblem
+from repro.core.evaluator import _snap_ceil
 from repro.experiments.backends import ProcessPoolBackend
 from repro.experiments.config import default_plan
 from repro.experiments.runner import run_plan
@@ -50,6 +57,8 @@ from repro.experiments.validation import (
 )
 from repro.generators.workload import generate_configuration, get_setting
 from repro.heuristics import (
+    H2RandomWalkSolver,
+    H31StochasticDescentSolver,
     H32SteepestGradientSolver,
     best_single_recipe_split,
     steepest_descent,
@@ -123,6 +132,119 @@ def seed_steepest_descent(
         current = best_candidate
         current_cost = best_candidate_cost
     return current, current_cost, rounds
+
+
+class SeedIncrementalEvaluator:
+    """The numpy incremental tier the scalar one replaced, memo included.
+
+    Each exchange gathers its pair's type mask, snaps with ``_snap_ceil`` and
+    sums with ``ndarray.sum``; the memo is keyed on the candidate's bytes and
+    cleared when full, as ``problem.evaluator``'s is.  ``pairs`` is the
+    problem's pair-mask cache, shared by its walks as the clones of
+    ``problem.evaluator`` share theirs.
+    """
+
+    def __init__(self, problem: MinCostProblem, pairs: dict, memo_capacity: int = 1 << 16) -> None:
+        self.counts = np.asarray(problem.counts, dtype=float)
+        self.inv_rates = 1.0 / np.asarray(problem.rates, dtype=float)
+        self.costs = np.asarray(problem.costs, dtype=float)
+        self.memo: dict[bytes, float] = {}
+        self.memo_capacity = memo_capacity
+        self.pairs = pairs
+
+    def reset(self, split: np.ndarray) -> None:
+        self.split = np.array(split, dtype=float)
+        self.loads = self.split @ self.counts
+        self.type_cost = _snap_ceil(self.loads * self.inv_rates) * self.costs
+        self.cost = float(self.type_cost.sum())
+
+    def _exchange(self, src: int, dst: int, moved: float):
+        pair = self.pairs.get((src, dst))
+        if pair is None:
+            idx = np.union1d(np.flatnonzero(self.counts[src]), np.flatnonzero(self.counts[dst]))
+            pair = self.pairs[(src, dst)] = (idx, self.counts[dst, idx] - self.counts[src, idx])
+        idx, diff = pair
+        new_loads = self.loads[idx] + moved * diff
+        return idx, new_loads, _snap_ceil(new_loads * self.inv_rates[idx]) * self.costs[idx]
+
+    def score_exchange(self, src: int, dst: int, delta: float) -> float:
+        moved = min(float(delta), float(self.split[src])) if src != dst else 0.0
+        if moved <= 0.0:
+            return self.cost
+        candidate = self.split.copy()
+        candidate[src] -= moved
+        candidate[dst] += moved
+        key = candidate.tobytes()
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        idx, _, new_type_cost = self._exchange(src, dst, moved)
+        cost = float(self.cost - self.type_cost[idx].sum() + new_type_cost.sum())
+        if len(self.memo) >= self.memo_capacity:
+            self.memo.clear()
+        self.memo[key] = cost
+        return cost
+
+    def apply_exchange(self, src: int, dst: int, delta: float) -> float:
+        moved = min(float(delta), float(self.split[src])) if src != dst else 0.0
+        if moved <= 0.0:
+            return self.cost
+        idx, new_loads, new_type_cost = self._exchange(src, dst, moved)
+        self.split[src] -= moved
+        self.split[dst] += moved
+        self.loads[idx] = new_loads
+        self.type_cost[idx] = new_type_cost
+        self.cost = float(self.type_cost.sum())
+        return self.cost
+
+
+def seed_random_move(split: np.ndarray, delta: float, rng: np.random.Generator):
+    """The numpy random move: ``rng.choice`` over ``np.flatnonzero(split > 0)``."""
+    n = split.size
+    if n < 2:
+        return 0, 0
+    loaded = np.flatnonzero(split > 0)
+    if loaded.size == 0:
+        return 0, 0
+    src = int(rng.choice(loaded))
+    dst = int(rng.integers(n - 1))
+    return src, dst + 1 if dst >= src else dst
+
+
+def seed_random_walk(
+    problem: MinCostProblem, solver: H2RandomWalkSolver | H31StochasticDescentSolver, pairs: dict
+) -> tuple[np.ndarray, float, int]:
+    """H2 or H31 as they walked on the numpy tier: (best split, best cost, iterations)."""
+    rng = np.random.default_rng(solver.seed)
+    start, _, start_cost = best_single_recipe_split(problem)
+    delta = solver.effective_delta(problem)
+    descent = isinstance(solver, H31StochasticDescentSolver)
+    evaluator = SeedIncrementalEvaluator(problem, pairs)
+    evaluator.reset(start)
+    current_cost = best_cost = start_cost
+    best_split = start.copy()
+    stale = performed = 0
+    for _ in range(solver.iterations):
+        performed += 1
+        src, dst = seed_random_move(evaluator.split, delta, rng)
+        if not descent:
+            cost = evaluator.apply_exchange(src, dst, delta)
+            if cost < best_cost:
+                best_cost, best_split = cost, evaluator.split.copy()
+            continue
+        cost = evaluator.score_exchange(src, dst, delta)
+        if cost < current_cost:
+            evaluator.apply_exchange(src, dst, delta)
+            current_cost = cost
+            if cost < best_cost:
+                best_cost, best_split, stale = cost, evaluator.split.copy(), 0
+            else:
+                stale += 1
+        else:
+            stale += 1
+        if solver.patience is not None and stale >= solver.patience:
+            break
+    return best_split, best_cost, performed
 
 
 # --------------------------------------------------------------------------- #
@@ -206,24 +328,67 @@ def bench_micro(problem: MinCostProblem, repeats: int) -> dict:
     }
 
 
-def check_fig3_costs(num_configurations: int, throughputs: tuple[float, ...]) -> dict:
-    """Seed-path vs engine-path H32 best costs on Fig. 3 (small) configurations."""
+def fig3_problems(num_configurations: int, throughputs: tuple[float, ...]):
+    """The Fig. 3 (small setting) configurations at each throughput."""
     setting = get_setting("small")
-    checked, mismatches = 0, []
     for index in range(num_configurations):
         config = generate_configuration(setting, seed=1000 + index, index=index)
         for rho in throughputs:
-            problem = config.problem(rho)
-            start, _, start_cost = best_single_recipe_split(problem)
-            delta = H32SteepestGradientSolver(delta=10).effective_delta(problem)
-            _, seed_cost, _ = seed_steepest_descent(problem, start, start_cost, delta, 1000)
-            _, engine_cost, _ = steepest_descent(problem, start, start_cost, delta, 1000)
-            checked += 1
-            if seed_cost != engine_cost:
-                mismatches.append({"config": index, "rho": rho,
-                                   "seed": seed_cost, "engine": engine_cost})
+            yield index, rho, config.problem(rho)
+
+
+def check_fig3_costs(num_configurations: int, throughputs: tuple[float, ...]) -> dict:
+    """Seed-path vs engine-path H32 best costs on Fig. 3 (small) configurations."""
+    checked, mismatches = 0, []
+    for index, rho, problem in fig3_problems(num_configurations, throughputs):
+        start, _, start_cost = best_single_recipe_split(problem)
+        delta = H32SteepestGradientSolver(delta=10).effective_delta(problem)
+        _, seed_cost, _ = seed_steepest_descent(problem, start, start_cost, delta, 1000)
+        _, engine_cost, _ = steepest_descent(problem, start, start_cost, delta, 1000)
+        checked += 1
+        if seed_cost != engine_cost:
+            mismatches.append({"config": index, "rho": rho,
+                               "seed": seed_cost, "engine": engine_cost})
     return {"checked": checked, "mismatches": mismatches,
             "bitwise_identical": not mismatches}
+
+
+def bench_random_walks(problems: list[tuple[str, MinCostProblem]], repeats: int) -> dict:
+    """H2 and H31 through the solvers and through the numpy walk replica."""
+    solves = [
+        (label, problem, solver_cls(iterations=1000, seed=seed))
+        for seed, (label, problem) in enumerate(problems)
+        for solver_cls in (H2RandomWalkSolver, H31StochasticDescentSolver)
+    ]
+    solver_time, results = _best_of(
+        lambda: [solver.solve(problem) for _, problem, solver in solves], repeats
+    )
+    pairs = {label: {} for label, _ in problems}
+    seed_time, seed_results = _best_of(
+        lambda: [seed_random_walk(problem, solver, pairs[label])
+                 for label, problem, solver in solves],
+        repeats,
+    )
+    mismatches = []
+    for (label, _, solver), result, (split, cost, iterations) in zip(
+        solves, results, seed_results
+    ):
+        if not (
+            np.array(result.split.values).tobytes() == split.tobytes()
+            and np.float64(result.cost).tobytes() == np.float64(cost).tobytes()
+            and result.iterations == iterations
+        ):
+            mismatches.append({"problem": label, "algorithm": solver.name,
+                               "cost": result.cost, "seed_cost": cost,
+                               "iterations": result.iterations, "seed_iterations": iterations})
+    return {
+        "solves": len(solves),
+        "seed_seconds": seed_time,
+        "solver_seconds": solver_time,
+        "speedup": seed_time / solver_time if solver_time > 0 else float("inf"),
+        "mismatches": mismatches,
+        "bitwise_identical": not mismatches,
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -340,16 +505,21 @@ def bench_pool(plan: ValidationPlan) -> dict:
 def run(smoke: bool = False) -> dict:
     repeats = 1 if smoke else 3
     problem = make_large_instance(seed=0)
+    fig3 = {
+        "num_configurations": 1 if smoke else 3,
+        "throughputs": (40.0, 70.0) if smoke else (20.0, 40.0, 70.0, 100.0),
+    }
+    walk_problems = [(f"fig3-{index}-rho{rho:g}", small)
+                     for index, rho, small in fig3_problems(**fig3)]
+    walk_problems.append((f"J{J_LARGE}-Q{Q_LARGE}", problem))
     report = {
         "benchmark": "fastpaths",
         "smoke": smoke,
         "cpu_count": os.cpu_count(),
         "h32_descent": bench_h32_descent(problem, repeats),
         "micro": bench_micro(problem, repeats),
-        "fig3_equivalence": check_fig3_costs(
-            num_configurations=1 if smoke else 3,
-            throughputs=(40.0, 70.0) if smoke else (20.0, 40.0, 70.0, 100.0),
-        ),
+        "fig3_equivalence": check_fig3_costs(**fig3),
+        "random_walks": bench_random_walks(walk_problems, repeats),
     }
     plan = build_campaign(smoke)
     # the pool gate runs the campaign's first simulations in this process, as
@@ -367,6 +537,12 @@ def verdict(report: dict) -> list[str]:
         failures.append("engine results diverge from the seed scalar path")
     if not report["smoke"] and descent["speedup"] < 5.0:
         failures.append(f"H32 speedup {descent['speedup']:.1f}x below the 5x target")
+    walks = report["random_walks"]
+    if not walks["bitwise_identical"]:
+        failures.append(f"H2/H31 diverge from the numpy walk on {len(walks['mismatches'])} "
+                        f"of {walks['solves']} solves")
+    if not report["smoke"] and walks["speedup"] < 1.5:
+        failures.append(f"H2/H31 speedup {walks['speedup']:.2f}x below the 1.5x target")
     if not engine["reports_identical"]:
         failures.append("fast-engine reports differ from the reference engine's")
     if engine["speedup"] < 2.0:
@@ -405,6 +581,10 @@ def main(argv: list[str] | None = None) -> int:
     fig3 = report["fig3_equivalence"]
     print(f"fig3 equivalence  checked={fig3['checked']}  "
           f"bitwise_identical={fig3['bitwise_identical']}")
+    walks = report["random_walks"]
+    print(f"random walks ({walks['solves']} H2/H31 solves)  seed={walks['seed_seconds']:.3f}s"
+          f"  solvers={walks['solver_seconds']:.3f}s  speedup={walks['speedup']:.2f}x  "
+          f"bitwise_identical={walks['bitwise_identical']}")
     engine = report["des_engine"]
     print(f"DES engine ({engine['cells']} cells)  reference={engine['reference_seconds']:.2f}s"
           f"  fast={engine['fast_seconds']:.2f}s  speedup={engine['speedup']:.2f}x  "

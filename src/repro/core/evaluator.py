@@ -10,11 +10,17 @@ through, with three tiers:
 1. **Incremental** (:meth:`SplitEvaluator.reset`,
    :meth:`SplitEvaluator.score_exchange`,
    :meth:`SplitEvaluator.apply_exchange`): the evaluator carries the current
-   split, its per-type load vector and its per-type rental cost.  A throughput
+   split, its per-type loads and its per-type rental costs.  A throughput
    exchange ``(src, dst, delta)`` only changes the loads of the types used by
    the two recipes involved, so scoring it costs ``O(|types(src) ∪
-   types(dst)|)`` instead of a dense ``O(J·Q)`` matvec — the per-recipe sparse
-   column masks are precomputed once per ``(src, dst)`` pair.
+   types(dst)|)`` instead of a dense ``O(J·Q)`` matvec.  The pair's types and
+   count differences are cached once per ``(src, dst)`` pair as Python lists,
+   and the loads and per-type costs are kept as lists of Python floats: on
+   masks of a handful of types, scalar arithmetic is several times cheaper
+   than numpy's per-call overhead.  :func:`_snap_ceil_scalar` repeats
+   :func:`_snap_ceil`'s IEEE operations element by element and
+   :func:`_float64_sum` adds in ``ndarray.sum``'s order, so each cost is
+   bitwise-equal to the vectorised formula's.
 2. **Batched** (:meth:`SplitEvaluator.evaluate_batch`,
    :meth:`SplitEvaluator.score_exchanges`): a whole neighbourhood of ``K``
    candidates is scored with a single ``(K, J) @ (J, Q)`` GEMM (or, for
@@ -31,11 +37,13 @@ through, with three tiers:
 All tiers use the exact ceiling-snap formula of
 :func:`repro.core.cost.machines_vector`, so their costs agree with
 ``evaluate_split`` to the model's 1e-9 tolerance (bitwise on the paper's
-integer-cost instances).
+integer-cost instances).  :func:`_snap_ceil` serves :meth:`~SplitEvaluator.reset`
+and the batched tiers.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -62,6 +70,67 @@ def _snap_ceil(ratio: np.ndarray) -> np.ndarray:
         np.ceil(ratio),
     )
     return np.maximum(snapped, 0.0)
+
+
+def _snap_ceil_scalar(ratio: float) -> int | float:
+    """:func:`_snap_ceil` of one Python float, bit for bit.
+
+    ``round`` rounds half to even as ``np.rint`` does, and ``math.ceil`` is
+    ``np.ceil``; both return ints, which convert to the same doubles when the
+    caller multiplies.  ``±inf`` and NaN, which ``round`` refuses, pass
+    through ``np.rint`` and ``np.ceil`` unchanged.  The clamp keeps
+    ``np.maximum(x, 0.0)``'s semantics: a zero of either sign becomes
+    ``+0.0``, NaN stays NaN.
+    """
+    try:
+        nearest = round(ratio)
+    except (OverflowError, ValueError):
+        snapped = ratio
+    else:
+        magnitude = abs(nearest)
+        if abs(ratio - nearest) <= 1e-9 * (magnitude if magnitude > 1 else 1.0):
+            snapped = nearest
+        else:
+            snapped = math.ceil(ratio)
+    return 0.0 if snapped <= 0 else snapped
+
+
+def _float64_sum(values: list[float]) -> float:
+    """``np.sum`` of a float64 vector, bit for bit, over Python floats.
+
+    numpy adds the vector's pairwise sum to 0.0: fewer than 8 terms left to
+    right, up to 128 in eight interleaved accumulators combined pairwise and
+    then the remaining terms, and longer vectors as two halves (the first a
+    multiple of 8 long) summed the same way.  A left-to-right loop differs
+    from that from 8 terms on, and the builtin ``sum`` compensates rounding
+    error from Python 3.12 on.  numpy adds the 0.0 once, to the whole sum;
+    adding it to each half as well only turns a ``-0.0`` half into ``+0.0``,
+    which changes no total (a zero total is ``+0.0`` either way).
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _float64_sum(values[:half]) + _float64_sum(values[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    body = n - n % 8
+    for i in range(8, body, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(body, n):
+        total += values[i]
+    return 0.0 + total
 
 
 class SplitEvaluator:
@@ -110,22 +179,26 @@ class SplitEvaluator:
         self._inv_rates = 1.0 / rates
         self._costs = costs
         self.num_recipes, self.num_types = counts.shape
-        # Sparse column masks: the types each recipe actually uses.
-        self._recipe_cols = [np.flatnonzero(counts[j]) for j in range(self.num_recipes)]
-        # Lazily built per-(src, dst) union mask and count difference.
-        self._pair_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # Python-float copies of the per-type constants for the scalar tier 1.
+        self._inv_rate_list: list[float] = self._inv_rates.tolist()
+        self._cost_list: list[float] = costs.tolist()
+        # Lazily built per-(src, dst) union of used types and count difference.
+        self._pair_cache: dict[tuple[int, int], tuple[list[int], list[float]]] = {}
         # Memo cache (tier 3).
         self._memo: dict[bytes, float] | None = {} if memo_capacity else None
         self._memo_capacity = int(memo_capacity)
         self.cache_hits = 0
         self.cache_misses = 0
-        # Incremental state (tier 1); populated by reset().
+        # Incremental state (tier 1); populated by reset().  The split stays an
+        # array (its bytes are the memo key); loads and per-type costs are
+        # Python floats.
         self._split: np.ndarray | None = None
-        self._loads: np.ndarray | None = None
-        self._type_cost: np.ndarray | None = None
+        self._split_view: np.ndarray | None = None
+        self._loads: list[float] | None = None
+        self._type_cost: list[float] | None = None
         self._cost = np.inf
         # Last computed score, reused by apply_exchange() after score_exchange().
-        self._scored: tuple[int, int, float, np.ndarray, np.ndarray, np.ndarray, float] | None = None
+        self._scored: tuple[int, int, float, list[int], list[float], list[float]] | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -142,7 +215,7 @@ class SplitEvaluator:
         shared evaluator are safe to call from anywhere, but the incremental
         tier carries the *current* split of exactly one search.  Each search
         therefore clones the problem's evaluator: the immutable precomputes
-        (count matrix, sparse column masks, lazily filled pair cache) are
+        (count matrix, per-type constants, lazily filled pair cache) are
         shared, while ``reset``/``apply_exchange`` state and the memo are
         per-clone.
         """
@@ -152,6 +225,7 @@ class SplitEvaluator:
         twin.cache_hits = 0
         twin.cache_misses = 0
         twin._split = None
+        twin._split_view = None
         twin._loads = None
         twin._type_cost = None
         twin._cost = np.inf
@@ -203,21 +277,23 @@ class SplitEvaluator:
             raise ValueError(
                 f"split must have shape ({self.num_recipes},), got {values.shape}"
             )
+        loads = values @ self._counts
+        type_cost = _snap_ceil(loads * self._inv_rates) * self._costs
         self._split = values
-        self._loads = values @ self._counts
-        self._type_cost = _snap_ceil(self._loads * self._inv_rates) * self._costs
-        self._cost = float(self._type_cost.sum())
+        self._split_view = values.view()
+        self._split_view.setflags(write=False)
+        self._loads = loads.tolist()
+        self._type_cost = type_cost.tolist()
+        self._cost = float(type_cost.sum())
         self._scored = None
         return self._cost
 
     @property
     def current_split(self) -> np.ndarray:
         """Read-only view of the current split (call :meth:`reset` first)."""
-        if self._split is None:
+        if self._split_view is None:
             raise RuntimeError("no current split: call reset() first")
-        view = self._split.view()
-        view.setflags(write=False)
-        return view
+        return self._split_view
 
     @property
     def current_cost(self) -> float:
@@ -247,13 +323,13 @@ class SplitEvaluator:
                 self._scored = None
                 return cached, moved
             self.cache_misses += 1
-        idx, diff = self._pair_info(src, dst)
-        new_loads = self._loads[idx] + moved * diff
-        new_type_cost = _snap_ceil(new_loads * self._inv_rates[idx]) * self._costs[idx]
-        cost = float(self._cost - self._type_cost[idx].sum() + new_type_cost.sum())
+        types, new_loads, new_type_cost = self._exchange(src, dst, moved)
+        type_cost = self._type_cost
+        old_type_cost = [type_cost[t] for t in types]
+        cost = self._cost - _float64_sum(old_type_cost) + _float64_sum(new_type_cost)
         if key is not None:
             self._memo_store(key, cost)
-        self._scored = (src, dst, moved, idx, new_loads, new_type_cost, cost)
+        self._scored = (src, dst, moved, types, new_loads, new_type_cost)
         return cost, moved
 
     def apply_exchange(self, src: int, dst: int, delta: float) -> tuple[float, float]:
@@ -265,18 +341,18 @@ class SplitEvaluator:
             return self._cost, 0.0
         scored = self._scored
         if scored is not None and scored[0] == src and scored[1] == dst and scored[2] == moved:
-            _, _, _, idx, new_loads, new_type_cost, _ = scored
+            _, _, _, types, new_loads, new_type_cost = scored
         else:
-            idx, diff = self._pair_info(src, dst)
-            new_loads = self._loads[idx] + moved * diff
-            new_type_cost = _snap_ceil(new_loads * self._inv_rates[idx]) * self._costs[idx]
+            types, new_loads, new_type_cost = self._exchange(src, dst, moved)
         self._split[src] -= moved
         self._split[dst] += moved
-        self._loads[idx] = new_loads
-        self._type_cost[idx] = new_type_cost
-        # Summing the per-type vector (instead of accumulating deltas) keeps the
+        loads, type_cost = self._loads, self._type_cost
+        for t, load, cost in zip(types, new_loads, new_type_cost):
+            loads[t] = load
+            type_cost[t] = cost
+        # Summing the per-type costs (instead of accumulating deltas) keeps the
         # running cost bitwise-equal to a full recompute, with no drift.
-        self._cost = float(self._type_cost.sum())
+        self._cost = _float64_sum(type_cost)
         self._scored = None
         return self._cost, moved
 
@@ -298,22 +374,40 @@ class SplitEvaluator:
             raise ValueError("srcs, dsts and moveds must have identical shapes")
         if srcs.size == 0:
             return np.empty(0)
-        loads = self._loads + moveds[:, None] * (self._counts[dsts] - self._counts[srcs])
+        loads = np.array(self._loads) + moveds[:, None] * (self._counts[dsts] - self._counts[srcs])
         machines = _snap_ceil(loads * self._inv_rates)
         return machines @ self._costs
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _pair_info(self, src: int, dst: int) -> tuple[np.ndarray, np.ndarray]:
-        """Union type mask and count difference for a recipe pair (cached)."""
+    def _pair_info(self, src: int, dst: int) -> tuple[list[int], list[float]]:
+        """Types either recipe uses, ascending, and their count difference (cached)."""
         cached = self._pair_cache.get((src, dst))
         if cached is None:
-            idx = np.union1d(self._recipe_cols[src], self._recipe_cols[dst])
-            diff = self._counts[dst, idx] - self._counts[src, idx]
-            cached = (idx, diff)
+            types = np.flatnonzero(np.logical_or(self._counts[src], self._counts[dst]))
+            diff = self._counts[dst, types] - self._counts[src, types]
+            cached = (types.tolist(), diff.tolist())
             self._pair_cache[(src, dst)] = cached
         return cached
+
+    def _exchange(
+        self, src: int, dst: int, moved: float
+    ) -> tuple[list[int], list[float], list[float]]:
+        """The pair's types with their loads and costs after moving ``moved``.
+
+        Element for element the arithmetic of ``_snap_ceil((loads[types] +
+        moved * diff) * inv_rates[types]) * costs[types]``.
+        """
+        types, diff = self._pair_info(src, dst)
+        loads, inv_rates, costs = self._loads, self._inv_rate_list, self._cost_list
+        new_loads = []
+        new_type_cost = []
+        for t, count_diff in zip(types, diff):
+            load = loads[t] + moved * count_diff
+            new_loads.append(load)
+            new_type_cost.append(_snap_ceil_scalar(load * inv_rates[t]) * costs[t])
+        return types, new_loads, new_type_cost
 
     def _candidate_key(self, src: int, dst: int, moved: float) -> bytes:
         # Exactly the arithmetic apply_exchange() performs, so a later apply of

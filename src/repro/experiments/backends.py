@@ -244,13 +244,36 @@ def _mp_context():
     return None  # platform default (spawn on Windows/macOS)
 
 
+def _exit_with_driver() -> None:
+    """Pool-worker initializer: end this worker when its driver process dies.
+
+    An idle worker blocks reading its call queue, whose write end it holds
+    itself, so it never sees EOF when the driver is killed outright (SIGKILL,
+    the OOM killer); and the forkserver lives as long as a worker holds its
+    alive pipe.  The parent's sentinel (for a forkserver worker, a pipe the
+    driver holds open for it) becomes ready when the driver dies, however it
+    dies; a daemon thread waits on it and exits the worker.
+    """
+    import multiprocessing.connection
+
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-driver-watch", daemon=True).start()
+
+
 class _Pool:
     """A process's warm executor of one width and the directory its runs spill to."""
 
     def __init__(self, workers: int) -> None:
         context = _mp_context()
         self.forkserver = context is not None and context.get_start_method() == "forkserver"
-        self.executor = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        self.executor = ProcessPoolExecutor(
+            max_workers=workers, mp_context=context, initializer=_exit_with_driver
+        )
         self.spill_dir = tempfile.mkdtemp(prefix="repro-pool-")
 
     def close(self, *, wait: bool = True) -> None:
@@ -336,6 +359,8 @@ class ProcessPoolBackend:
     Abandoning a run (Ctrl-C, a raising progress hook, ``serve``'s drain)
     cancels that run's queued units and leaves the pool up; a worker that
     dies breaks the pool, which that run raises and the next run replaces.
+    A driver that dies, even by SIGKILL, takes its workers and forkserver
+    with it (see :func:`_exit_with_driver`).
     """
 
     def __init__(self, workers: int) -> None:

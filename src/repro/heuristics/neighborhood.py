@@ -12,7 +12,11 @@ Two families of primitives are provided:
   :func:`random_move`) describe a move as ``(src, dst, moved)`` without
   materialising the resulting split — the form consumed by the O(Q)
   incremental and batched tiers of
-  :class:`repro.core.evaluator.SplitEvaluator`;
+  :class:`repro.core.evaluator.SplitEvaluator`.  :func:`random_move`, drawn
+  once per iteration of H2, H31 and H4-SA, works on a Python list of the
+  split and draws only with ``rng.integers``: the same draws, and the same
+  generator state afterwards, as ``rng.choice`` over the loaded recipes, at
+  a fraction of the cost on arrays of a few elements;
 * **split copies** (:func:`transfer`, :func:`all_exchanges`,
   :func:`random_exchange`) build the full candidate array.  ``all_exchanges``
   and ``random_exchange`` are kept as thin compatibility wrappers over the
@@ -71,17 +75,19 @@ def random_move(
     n = split.size
     if n < 2:
         return 0, 0, 0.0
+    values = split.tolist()
     if require_source_load:
-        loaded = np.flatnonzero(split > 0)
-        if loaded.size == 0:
+        loaded = [j for j, held in enumerate(values) if held > 0]
+        if not loaded:
             return 0, 0, 0.0
-        src = int(rng.choice(loaded))
+        # Generator.choice(loaded) draws exactly integers(0, len(loaded)).
+        src = loaded[rng.integers(len(loaded))]
     else:
         src = int(rng.integers(n))
     dst = int(rng.integers(n - 1))
     if dst >= src:
         dst += 1
-    return src, dst, float(min(delta, split[src]))
+    return src, dst, float(min(delta, values[src]))
 
 
 def random_exchange(

@@ -3,13 +3,18 @@
 Every tier of the evaluator (scalar, incremental, batched, memoised) must
 agree with the readable dict-based ``cost_for_split`` to 1e-9 across generated
 instances of all four problem classes, including fractional-delta splits that
-exercise the ceiling-snap logic.
+exercise the ceiling-snap logic.  The incremental tier, Python scalar code,
+must also be bitwise-equal to its numpy formula (``NumpyIncremental``).
 """
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Application,
@@ -19,6 +24,7 @@ from repro.core import (
     SplitEvaluator,
     cost_for_split,
 )
+from repro.core.evaluator import _float64_sum, _snap_ceil, _snap_ceil_scalar
 from repro.heuristics.neighborhood import (
     all_exchanges,
     exchange_move_arrays,
@@ -310,3 +316,135 @@ class TestMoveGenerators:
         assert srcs.size == dsts.size == moveds.size == 0
         srcs, _, _ = exchange_move_arrays(np.array([5.0]), 1.0)
         assert srcs.size == 0
+
+
+# --------------------------------------------------------------------------- #
+# the scalar incremental tier is bitwise-equal to its numpy formula
+# --------------------------------------------------------------------------- #
+
+
+def _bits(value: float) -> bytes:
+    """Packed IEEE bytes, so that -0.0 against 0.0 (and NaN) shows."""
+    return struct.pack("<d", value)
+
+
+class NumpyIncremental:
+    """The incremental tier as numpy code: ``_snap_ceil`` over the pair's type mask."""
+
+    def __init__(self, counts, rates, costs):
+        self.counts = np.asarray(counts, dtype=float)
+        self.inv_rates = 1.0 / np.asarray(rates, dtype=float)
+        self.costs = np.asarray(costs, dtype=float)
+
+    def reset(self, split):
+        self.split = np.array(split, dtype=float)
+        self.loads = self.split @ self.counts
+        self.type_cost = _snap_ceil(self.loads * self.inv_rates) * self.costs
+        self.cost = float(self.type_cost.sum())
+        return self.cost
+
+    def _move(self, src, dst, delta):
+        moved = min(float(delta), float(self.split[src])) if src != dst else 0.0
+        if moved <= 0.0:
+            return moved, None, None
+        idx = np.union1d(np.flatnonzero(self.counts[src]), np.flatnonzero(self.counts[dst]))
+        new_loads = self.loads[idx] + moved * (self.counts[dst, idx] - self.counts[src, idx])
+        new_type_cost = _snap_ceil(new_loads * self.inv_rates[idx]) * self.costs[idx]
+        return moved, idx, (new_loads, new_type_cost)
+
+    def score(self, src, dst, delta):
+        moved, idx, new = self._move(src, dst, delta)
+        if idx is None:
+            return self.cost, 0.0
+        return float(self.cost - self.type_cost[idx].sum() + new[1].sum()), moved
+
+    def apply(self, src, dst, delta):
+        moved, idx, new = self._move(src, dst, delta)
+        if idx is None:
+            return self.cost, 0.0
+        self.split[src] -= moved
+        self.split[dst] += moved
+        self.loads[idx], self.type_cost[idx] = new
+        self.cost = float(self.type_cost.sum())
+        return self.cost, moved
+
+
+@st.composite
+def _near_boundary_walks(draw):
+    """A (counts, rates, costs, start split, delta, walk seed) tuple.
+
+    Splits, ``delta`` and rates are multiples of 0.1 (with accumulated
+    rounding), and each rate is perturbed by a relative -2e-9..2e-9, so
+    many loads sit within 1e-9 (relative) of a machine-count boundary, on
+    either side of the snap.  One split entry is negative.
+    """
+    J = draw(st.integers(min_value=2, max_value=12))
+    Q = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    density = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    counts = rng.integers(1, 4, size=(J, Q)) * (rng.random((J, Q)) < density)
+    tilt = rng.choice([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9], size=Q)
+    rates = 0.1 * rng.integers(1, 4, size=Q) * (1.0 + tilt)
+    costs = rng.uniform(0.5, 60.0, size=Q)
+    split = 0.1 * rng.integers(0, 200, size=J) * (rng.random(J) < 0.7)
+    split[int(rng.integers(J))] = -0.1 * float(rng.integers(1, 50))
+    delta = 0.1 * draw(st.integers(min_value=1, max_value=60))
+    return counts, rates, costs, split, delta, int(rng.integers(2**32))
+
+
+class TestScalarTierMatchesNumpy:
+    @given(case=_near_boundary_walks())
+    @settings(max_examples=120, deadline=None)
+    def test_walk_costs_are_bitwise_equal(self, case):
+        counts, rates, costs, split, delta, seed = case
+        evaluator = SplitEvaluator(counts, rates, costs)
+        reference = NumpyIncremental(counts, rates, costs)
+        assert _bits(evaluator.reset(split)) == _bits(reference.reset(split))
+        rng = np.random.default_rng(seed)
+        J = split.size
+        for _ in range(40):
+            src, dst = int(rng.integers(J)), int(rng.integers(J))
+            action = rng.integers(3)
+            if action == 0:  # score only
+                got, want = evaluator.score_exchange(src, dst, delta), reference.score(src, dst, delta)
+            elif action == 1:  # score, then apply the scored move
+                got, want = evaluator.score_exchange(src, dst, delta), reference.score(src, dst, delta)
+                assert [_bits(v) for v in got] == [_bits(v) for v in want]
+                got, want = evaluator.apply_exchange(src, dst, delta), reference.apply(src, dst, delta)
+            else:  # apply unscored
+                got, want = evaluator.apply_exchange(src, dst, delta), reference.apply(src, dst, delta)
+            assert [_bits(v) for v in got] == [_bits(v) for v in want]
+            assert _bits(evaluator.current_cost) == _bits(reference.cost)
+            assert evaluator.current_split.tobytes() == reference.split.tobytes()
+        # the batched tier reads the same state
+        srcs, dsts, moveds = exchange_move_arrays(reference.split, delta)
+        if srcs.size:
+            batched = reference.loads + moveds[:, None] * (counts[dsts] - counts[srcs])
+            expected = _snap_ceil(batched * (1.0 / rates)) @ costs
+            assert evaluator.score_exchanges(srcs, dsts, moveds).tobytes() == expected.tobytes()
+
+    def test_snap_ceil_scalar_matches_each_element(self):
+        ints = np.arange(-3.0, 40.0)
+        ratios = np.concatenate([
+            ints,
+            ints + 0.5,
+            ints * (1 + 9e-10),
+            ints * (1 - 9e-10),
+            ints * (1 + 1.1e-9),
+            np.nextafter(ints, np.inf),
+            [0.0, -0.0, -1e-12, 1e-12, 2.0**51 + 0.5, 2.0**52, 2.0**52 + 2, -(2.0**53),
+             1e300, -1e300, 5e-324, np.inf, -np.inf, np.nan],
+        ])
+        with np.errstate(invalid="ignore"):
+            expected = _snap_ceil(ratios)
+        got = [float(_snap_ceil_scalar(r)) for r in ratios.tolist()]
+        assert [_bits(v) for v in got] == [_bits(v) for v in expected.tolist()]
+
+    @pytest.mark.parametrize("length", [*range(0, 40), 64, 100, 127, 128, 129, 200, 300])
+    def test_float64_sum_adds_in_numpys_order(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(20):
+            values = rng.standard_normal(length) * 10.0 ** rng.integers(-8, 9, length)
+            assert _bits(_float64_sum(values.tolist())) == _bits(float(values.sum()))
+        zeros = np.full(length, -0.0)
+        assert _bits(_float64_sum(zeros.tolist())) == _bits(float(zeros.sum()))

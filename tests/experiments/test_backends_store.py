@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -41,6 +42,21 @@ def small_plan(num_configurations=2, throughputs=(50, 100), algorithms=("ILP", "
 def worker_pids() -> set[int]:
     """Pids of this process's live pool workers (its multiprocessing children)."""
     return {child.pid for child in multiprocessing.active_children()}
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """The fields of ``/proc/<pid>/stat`` after the command name (state, ppid, ...)."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return text.rsplit(")", 1)[1].split()
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
 
 
 def record_key(record: RunRecord) -> tuple:
@@ -203,6 +219,63 @@ class TestSharedPool:
         shutdown_pools()
         assert not spill_dir.exists()
         assert worker_pids().isdisjoint(pids)  # closing waited for the workers
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="reads process states from /proc"
+    )
+    def test_a_killed_driver_takes_its_warm_pool_with_it(self, tmp_path):
+        # SIGKILL gives the driver no atexit: its workers and their forkserver
+        # must notice the driver's death by themselves and exit
+        src = Path(repro.__file__).resolve().parents[1]
+        driver = tmp_path / "driver.py"
+        driver.write_text(textwrap.dedent(
+            """
+            import multiprocessing
+            import time
+            from dataclasses import replace
+
+            from repro.experiments.backends import ProcessPoolBackend, plan_work_units
+            from repro.experiments.config import default_plan
+
+            if __name__ == "__main__":
+                plan = default_plan("small", num_configurations=2, target_throughputs=(50,))
+                plan = replace(
+                    plan, algorithms=tuple(a for a in plan.algorithms if a.name == "H1")
+                )
+                for _ in ProcessPoolBackend(2).run(plan, plan_work_units(plan, chunk_size=1)):
+                    pass
+                print(*(child.pid for child in multiprocessing.active_children()), flush=True)
+                time.sleep(300)
+            """
+        ))
+        stderr = tmp_path / "driver.err"
+        with stderr.open("w") as err:
+            process = subprocess.Popen(
+                [sys.executable, str(driver)], cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": str(src)},
+                stdout=subprocess.PIPE, stderr=err, text=True,
+            )
+        survivors: set[int] = set()
+        try:
+            workers = {int(pid) for pid in process.stdout.readline().split()}
+            assert workers, stderr.read_text()
+            # the forkserver, or the driver itself under the fork start method
+            servers = {int(_proc_stat(pid)[1]) for pid in workers} - {process.pid}
+            process.kill()
+            process.wait(timeout=10)
+            survivors = workers | servers
+            deadline = time.monotonic() + 10
+            while survivors and time.monotonic() < deadline:
+                time.sleep(0.1)
+                survivors = {pid for pid in survivors if _running(pid)}
+            assert not survivors, f"still running 10 s after the driver was killed: {survivors}"
+        finally:
+            process.kill()
+            process.wait(timeout=10)
+            process.stdout.close()
+            for pid in survivors:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     @pytest.mark.skipif(
         "forkserver" not in multiprocessing.get_all_start_methods(),

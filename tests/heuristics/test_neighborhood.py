@@ -1,11 +1,42 @@
 """Tests for the throughput-exchange neighbourhood primitives."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.heuristics import all_exchanges, random_exchange, random_split, transfer
+from repro.heuristics import all_exchanges, random_exchange, random_move, random_split, transfer
+
+
+def reference_random_move(split, delta, rng, *, require_source_load=True):
+    """``random_move`` as it drew over numpy: ``rng.choice`` of the loaded recipes."""
+    n = split.size
+    if n < 2:
+        return 0, 0, 0.0
+    if require_source_load:
+        loaded = np.flatnonzero(split > 0)
+        if loaded.size == 0:
+            return 0, 0, 0.0
+        src = int(rng.choice(loaded))
+    else:
+        src = int(rng.integers(n))
+    dst = int(rng.integers(n - 1))
+    if dst >= src:
+        dst += 1
+    return src, dst, float(min(delta, split[src]))
+
+
+def _splits(size: int):
+    held = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 10.0]),
+                     st.floats(min_value=0.0, max_value=100.0))
+    single = st.tuples(st.integers(0, size - 1), st.floats(min_value=0.1, max_value=100.0))
+    return st.one_of(
+        st.lists(held, min_size=size, max_size=size),
+        single.map(lambda pair: [pair[1] if j == pair[0] else 0.0 for j in range(size)]),
+        st.just([0.0] * size),
+    )
 
 
 class TestTransfer:
@@ -71,6 +102,30 @@ class TestRandomExchange:
         a = random_exchange(split, 5, np.random.default_rng(7))
         b = random_exchange(split, 5, np.random.default_rng(7))
         assert a[0].tolist() == b[0].tolist() and a[1:] == b[1:]
+
+
+class TestRandomMoveStream:
+    @given(
+        split=st.integers(min_value=1, max_value=40).flatmap(_splits),
+        delta=st.floats(min_value=0.05, max_value=50.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        require_source_load=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_moves_and_generator_state_as_rng_choice(
+        self, split, delta, seed, require_source_load
+    ):
+        values = np.asarray(split, dtype=float)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(12):
+            move = random_move(values, delta, rng, require_source_load=require_source_load)
+            expected = reference_random_move(
+                values, delta, reference_rng, require_source_load=require_source_load
+            )
+            assert move[:2] == expected[:2]
+            assert struct.pack("<d", move[2]) == struct.pack("<d", expected[2])
+            values = transfer(values, move[0], move[1], delta)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestAllExchanges:
