@@ -9,16 +9,15 @@ byte-identity on the next.  This package makes the invariants machine-checked:
 
 ======  ====================================================================
 RL001   determinism: no ``hash()`` / wall-clock / unseeded RNG in library
-        code; wall-clock must never reach an ``as_dict`` payload
+        code (``utils/timing.py`` excepted)
 RL002   scoring goes through ``problem.evaluator``; no ``evaluate_split``
         calls inside loop bodies outside ``core/``
 RL003   work units (``*Unit``/``*Chunk`` classes) are slotted, define
         ``as_dict``/``from_dict`` and carry no unpicklable members
 RL004   checkpoint hygiene: append-mode JSONL writes in ``experiments/``
         only inside ``JsonlCheckpointStore`` subclasses
-RL005   spec strictness: ``*Spec`` dataclasses reject unknown fields and
-        declare every field fingerprinted-or-execution-only
-RL006   no bare/broad ``except`` that can swallow ``KeyboardInterrupt``
+RL006   no bare ``except:`` / ``except BaseException`` that can swallow
+        ``KeyboardInterrupt``
 RL007   seeds derive only via ``utils.rng.stable_text_digest`` /
         ``derive_seed``, never ad-hoc hashes
 RL008   engine hot-path purity: no I/O or wall-clock under
@@ -36,9 +35,6 @@ RL101   transitive engine purity: no call path from ``simulation/engine.py``
         functions to I/O / logging / wall-clock anywhere in the tree
 RL102   transitive evaluator discipline: no loop-borne call chain outside
         ``core/`` reaching ``evaluate_split``
-RL103   determinism taint: wall-clock / unseeded-RNG-derived return values
-        must not flow into ``as_dict`` payloads, checkpoint writes or
-        ``stable_text_digest`` fingerprint inputs
 RL104   transitive pickle safety: ``*Unit``/``*Chunk`` field types bottom
         out in picklable primitives/dataclasses (no locks, open files,
         generators or lambda-valued attributes through any alias)

@@ -25,9 +25,7 @@ __all__ = [
     "module_segment",
     "WALL_CLOCK_CALLS",
     "is_wall_clock_call",
-    "contains_wall_clock",
     "impurity_reason",
-    "nondeterminism_reason",
 ]
 
 #: Function-boundary node types: loop lookups stop here.
@@ -172,9 +170,6 @@ class ModuleContext:
 
     # -- structure -------------------------------------------------------- #
 
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        return self._parents.get(node)
-
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         current = self._parents.get(node)
         while current is not None:
@@ -238,14 +233,6 @@ class ModuleContext:
 def is_wall_clock_call(ctx: ModuleContext, node: ast.AST) -> bool:
     """True for a call expression that reads the wall clock."""
     return isinstance(node, ast.Call) and qual_matches(ctx.resolve(node.func), WALL_CLOCK_CALLS)
-
-
-def contains_wall_clock(ctx: ModuleContext, node: ast.AST) -> ast.Call | None:
-    """The first wall-clock call inside ``node``'s subtree, if any."""
-    for sub in ast.walk(node):
-        if is_wall_clock_call(ctx, sub):
-            return sub  # type: ignore[return-value]
-    return None
 
 
 class Rule:
@@ -314,36 +301,6 @@ def impurity_reason(ctx: ModuleContext, node: ast.Call) -> "str | None":
         return f"logging call {qual}()"
     if qual is not None and qual.split(".")[0] in ("sys",) and "std" in qual:
         return f"stream write {qual}()"
-    return None
-
-
-def nondeterminism_reason(ctx: ModuleContext, node: ast.Call) -> "str | None":
-    """Why ``node``'s result depends on when/where it runs, or None.
-
-    The determinism-taint sources tracked across function returns by RL103:
-    wall-clock reads, the stdlib ``random`` module, legacy ``numpy.random``
-    global-state draws, and unseeded ``default_rng()``.
-    """
-    qual = ctx.resolve(node.func)
-    if is_wall_clock_call(ctx, node):
-        return f"wall-clock read {qual}()"
-    if (
-        qual is not None
-        and "random" in ctx.imported_modules
-        and (qual == "random" or qual.startswith("random."))
-    ):
-        return f"stdlib random call {qual}()"
-    if qual is not None and module_segment(qual, "numpy.random"):
-        tail = qual.split("numpy.random.", 1)[-1].split(".")[0]
-        if tail and tail not in ("default_rng", "Generator", "SeedSequence"):
-            return f"legacy numpy.random.{tail}() draw"
-    if qual_matches(qual, ("default_rng",)):
-        unseeded = not node.keywords and (
-            not node.args
-            or (isinstance(node.args[0], ast.Constant) and node.args[0].value is None)
-        )
-        if unseeded:
-            return "unseeded default_rng()"
     return None
 
 

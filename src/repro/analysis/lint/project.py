@@ -4,16 +4,14 @@ The per-file rules (RL001-RL008) are lexical by design — one module's AST at
 a time.  The ROADMAP invariants they guard, though, are increasingly
 properties of *call chains*: an engine function that stays pure itself but
 calls a helper that logs, a heuristic loop that hides ``evaluate_split``
-behind a wrapper, a wall-clock value laundered through two returns into a
-fingerprinted payload.  This module gives the project-rule family (RL101+)
-the machinery to see those chains:
+behind a wrapper.  This module gives the project-rule family (RL101+) the
+machinery to see those chains:
 
 ``summarize_module``
     One deterministic pass over a parsed :class:`ModuleContext` producing a
-    :class:`ModuleSummary` — every function with its call sites
-    (loop/return/argument positions noted), impurity and nondeterminism
-    facts, every class with its fields and attribute constructors, every
-    attribute read.
+    :class:`ModuleSummary` — every function with its call sites (loop
+    positions noted) and impurity facts, every class with its fields and
+    attribute constructors, every attribute read.
 
 ``ProjectContext``
     All summaries indexed: function and class tables, a method-name index,
@@ -33,7 +31,7 @@ import ast
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .base import ModuleContext, impurity_reason, nondeterminism_reason
+from .base import ModuleContext, impurity_reason
 
 __all__ = [
     "CallSite",
@@ -76,7 +74,6 @@ class CallSite:
     line: int
     col: int
     loop: bool           #: lexically inside a loop/comprehension of this function
-    arg_calls: tuple[int, ...]  #: indices of call sites nested in the arguments
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,13 +87,7 @@ class FunctionRecord:
     col: int
     calls: tuple[CallSite, ...]
     impure: "tuple[str, int] | None"      #: (reason, line) of first impure call
-    nondet: "tuple[str, int] | None"      #: (reason, line) of first RNG/clock call
     eval_split_line: "int | None"         #: first direct ``.evaluate_split`` call
-    ret_direct: "str | None"              #: nondeterminism reason inside a return expr
-    ret_calls: tuple[int, ...]            #: call-site indices inside return exprs
-    ret_names: tuple[str, ...]            #: names loaded inside return exprs
-    assigns: tuple[tuple[str, "str | None", tuple[int, ...]], ...]
-    #: per assigned name: (name, direct nondeterminism reason, rhs call indices)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,15 +147,6 @@ def _receiver_text(ctx: ModuleContext, func: ast.AST) -> "str | None":
     return None
 
 
-def _first_nondet_in(ctx: ModuleContext, node: ast.AST) -> "str | None":
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            reason = nondeterminism_reason(ctx, sub)
-            if reason is not None:
-                return reason
-    return None
-
-
 def summarize_module(ctx: ModuleContext) -> ModuleSummary:
     """Build the whole-program summary of one parsed module."""
     functions: list[FunctionRecord] = []
@@ -177,13 +159,10 @@ def summarize_module(ctx: ModuleContext) -> ModuleSummary:
     ) -> None:
         scope = tuple(p for p in ((class_path,) if class_path else ()) + fn_prefix)
         local_qual = ".".join(scope + (node.name,))
-        own = list(_own_nodes(node))
-        call_nodes = [sub for sub in own if isinstance(sub, ast.Call)]
-        index_of = {id(call): i for i, call in enumerate(call_nodes)}
+        call_nodes = [sub for sub in _own_nodes(node) if isinstance(sub, ast.Call)]
 
         sites: list[CallSite] = []
         impure: "tuple[str, int] | None" = None
-        nondet: "tuple[str, int] | None" = None
         eval_split_line: "int | None" = None
         for call in call_nodes:
             qual = ctx.resolve(call.func)
@@ -197,11 +176,6 @@ def summarize_module(ctx: ModuleContext) -> ModuleSummary:
                 isinstance(call.func.value, ast.Name)
                 and call.func.value.id in ("self", "cls")
             )
-            arg_calls: list[int] = []
-            for arg in list(call.args) + [kw.value for kw in call.keywords]:
-                for sub in ast.walk(arg):
-                    if isinstance(sub, ast.Call) and id(sub) in index_of:
-                        arg_calls.append(index_of[id(sub)])
             sites.append(
                 CallSite(
                     qual=qual,
@@ -211,60 +185,14 @@ def summarize_module(ctx: ModuleContext) -> ModuleSummary:
                     line=call.lineno,
                     col=call.col_offset + 1,
                     loop=ctx.in_loop(call),
-                    arg_calls=tuple(sorted(set(arg_calls))),
                 )
             )
             if impure is None:
                 reason = impurity_reason(ctx, call)
                 if reason is not None:
                     impure = (reason, call.lineno)
-            if nondet is None:
-                reason = nondeterminism_reason(ctx, call)
-                if reason is not None:
-                    nondet = (reason, call.lineno)
             if eval_split_line is None and attr == "evaluate_split":
                 eval_split_line = call.lineno
-
-        ret_direct: "str | None" = None
-        ret_calls: list[int] = []
-        ret_names: list[str] = []
-        for sub in own:
-            if isinstance(sub, ast.Return) and sub.value is not None:
-                if ret_direct is None:
-                    ret_direct = _first_nondet_in(ctx, sub.value)
-                for inner in ast.walk(sub.value):
-                    if isinstance(inner, ast.Call) and id(inner) in index_of:
-                        ret_calls.append(index_of[id(inner)])
-                    elif isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
-                        ret_names.append(inner.id)
-
-        assigns: dict[str, tuple["str | None", set[int]]] = {}
-        for sub in own:
-            targets: list[ast.AST] = []
-            value: "ast.AST | None" = None
-            if isinstance(sub, ast.Assign):
-                targets, value = list(sub.targets), sub.value
-            elif isinstance(sub, (ast.AnnAssign, ast.AugAssign)) and sub.value is not None:
-                targets, value = [sub.target], sub.value
-            if value is None:
-                continue
-            names = [
-                n.id
-                for t in targets
-                for n in ast.walk(t)
-                if isinstance(n, ast.Name)
-            ]
-            if not names:
-                continue
-            direct = _first_nondet_in(ctx, value)
-            rhs_calls = {
-                index_of[id(inner)]
-                for inner in ast.walk(value)
-                if isinstance(inner, ast.Call) and id(inner) in index_of
-            }
-            for name in names:
-                prev_direct, prev_calls = assigns.get(name, (None, set()))
-                assigns[name] = (prev_direct or direct, prev_calls | rhs_calls)
 
         functions.append(
             FunctionRecord(
@@ -275,15 +203,7 @@ def summarize_module(ctx: ModuleContext) -> ModuleSummary:
                 col=node.col_offset + 1,
                 calls=tuple(sites),
                 impure=impure,
-                nondet=nondet,
                 eval_split_line=eval_split_line,
-                ret_direct=ret_direct,
-                ret_calls=tuple(sorted(set(ret_calls))),
-                ret_names=tuple(sorted(set(ret_names))),
-                assigns=tuple(
-                    (name, direct, tuple(sorted(calls)))
-                    for name, (direct, calls) in sorted(assigns.items())
-                ),
             )
         )
         for sub in _own_nodes(node):

@@ -1,10 +1,9 @@
 """Architecture rules: RL002 evaluator, RL003 work units, RL004 checkpoint
-hygiene, RL005 spec strictness, RL008 engine purity.
+hygiene, RL008 engine purity.
 
 These encode the ROADMAP's structural invariants: hot paths score through
 ``problem.evaluator``, fan-out executes through picklable work units and
-checkpoint stores, new experiment axes surface as strict spec fields, and
-the simulation engine's dispatch loop stays pure.
+checkpoint stores, and the simulation engine's dispatch loop stays pure.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "EvaluatorLoopRule",
     "WorkUnitContractRule",
     "CheckpointHygieneRule",
-    "SpecStrictnessRule",
     "EnginePurityRule",
 ]
 
@@ -231,142 +229,6 @@ class CheckpointHygieneRule(Rule):
             ):
                 return True
         return False
-
-
-@register
-class SpecStrictnessRule(Rule):
-    """RL005 — spec dataclasses are strict and declare field provenance.
-
-    A ``*Spec`` dataclass with ``as_dict``/``from_dict`` is part of the
-    serialized study surface.  Its ``from_dict`` must reject unknown fields
-    (a misspelled option that silently deserialises is a silently different
-    experiment), and every field must be declared either fingerprinted
-    (changes the study's identity) or execution-only (changes only how it
-    runs) via ``_FINGERPRINTED`` / ``_EXECUTION_ONLY`` class attributes —
-    so a new axis cannot be added without deciding which it is.
-    """
-
-    id = "RL005"
-    name = "spec-strictness"
-    summary = "*Spec dataclasses reject unknown fields and partition fields by provenance"
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        return not _in_tests(ctx)
-
-    def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        for node in walk_nodes(ctx, ast.ClassDef):
-            assert isinstance(node, ast.ClassDef)
-            if not node.name.endswith("Spec"):
-                continue
-            if not self._is_dataclass(ctx, node):
-                continue
-            methods = {
-                stmt.name: stmt
-                for stmt in node.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            if "as_dict" not in methods or "from_dict" not in methods:
-                continue  # not part of the serialized spec surface
-            yield from self._check_from_dict(ctx, node, methods["from_dict"])
-            yield from self._check_partition(ctx, node)
-
-    @staticmethod
-    def _is_dataclass(ctx: ModuleContext, node: ast.ClassDef) -> bool:
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            qual = ctx.resolve(target)
-            if qual is not None and qual.split(".")[-1] == "dataclass":
-                return True
-        return False
-
-    def _check_from_dict(
-        self, ctx: ModuleContext, cls: ast.ClassDef, fn: ast.AST
-    ) -> Iterator[Finding]:
-        for sub in ast.walk(fn):
-            if isinstance(sub, ast.Call):
-                qual = ctx.resolve(sub.func)
-                if qual is not None and "reject_unknown" in qual.split(".")[-1]:
-                    return
-        yield ctx.finding(
-            self.id,
-            fn,
-            f"{cls.name}.from_dict does not reject unknown fields; a misspelled "
-            "field that silently deserialises is a silently different experiment",
-        )
-
-    def _check_partition(self, ctx: ModuleContext, cls: ast.ClassDef) -> Iterator[Finding]:
-        fields = self._dataclass_fields(cls)
-        declared: dict[str, set[str]] = {}
-        for stmt in cls.body:
-            if not isinstance(stmt, ast.Assign):
-                continue
-            for target in stmt.targets:
-                if isinstance(target, ast.Name) and target.id in (
-                    "_FINGERPRINTED",
-                    "_EXECUTION_ONLY",
-                ):
-                    declared[target.id] = self._string_tuple(stmt.value)
-        missing_decls = sorted(
-            {"_FINGERPRINTED", "_EXECUTION_ONLY"} - set(declared)
-        )
-        if missing_decls:
-            yield ctx.finding(
-                self.id,
-                cls,
-                f"spec {cls.name} must declare {' and '.join(missing_decls)} "
-                "(every field is fingerprinted or execution-only — decide which)",
-            )
-            return
-        fingerprinted = declared["_FINGERPRINTED"]
-        execution_only = declared["_EXECUTION_ONLY"]
-        overlap = sorted(fingerprinted & execution_only)
-        if overlap:
-            yield ctx.finding(
-                self.id,
-                cls,
-                f"spec {cls.name} declares {overlap} both fingerprinted and "
-                "execution-only; the partition must be disjoint",
-            )
-        undeclared = sorted(fields - fingerprinted - execution_only)
-        if undeclared:
-            yield ctx.finding(
-                self.id,
-                cls,
-                f"spec {cls.name} leaves field(s) {undeclared} undeclared; add "
-                "them to _FINGERPRINTED or _EXECUTION_ONLY",
-            )
-        phantom = sorted((fingerprinted | execution_only) - fields)
-        if phantom:
-            yield ctx.finding(
-                self.id,
-                cls,
-                f"spec {cls.name} declares non-field name(s) {phantom} in its "
-                "fingerprinted/execution-only partition",
-            )
-
-    @staticmethod
-    def _dataclass_fields(cls: ast.ClassDef) -> set[str]:
-        fields: set[str] = set()
-        for stmt in cls.body:
-            if not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name):
-                continue
-            name = stmt.target.id
-            if name.startswith("_"):
-                continue
-            annotation = ast.dump(stmt.annotation)
-            if "ClassVar" in annotation:
-                continue
-            fields.add(name)
-        return fields
-
-    @staticmethod
-    def _string_tuple(value: ast.AST) -> set[str]:
-        names: set[str] = set()
-        if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-            for elt in value.elts:
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                    names.add(elt.value)
-        return names
 
 
 @register

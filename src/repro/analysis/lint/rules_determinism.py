@@ -10,14 +10,13 @@ fine on the machine that wrote it, broken on the next.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .base import (
     Finding,
     ModuleContext,
     Rule,
     caught_exception_names,
-    contains_wall_clock,
     is_wall_clock_call,
     module_segment,
     qual_matches,
@@ -52,13 +51,6 @@ def _is_builtin_hash_call(ctx: ModuleContext, node: ast.Call) -> bool:
     )
 
 
-def _timing_module_reference(ctx: ModuleContext, qual: "str | None") -> bool:
-    """True when a resolved name comes out of ``repro.utils.timing``."""
-    if qual is None:
-        return False
-    return module_segment(qual, "utils.timing") or qual.startswith("utils.timing.")
-
-
 @register
 class DeterminismRule(Rule):
     """RL001 — library code must be bit-reproducible.
@@ -66,26 +58,17 @@ class DeterminismRule(Rule):
     Forbidden everywhere except ``utils/timing.py`` (whose whole purpose is
     the wall clock): builtin ``hash()``, wall-clock reads, the stdlib
     ``random`` module, legacy ``numpy.random.*`` global-state draws, and
-    unseeded ``default_rng()``.  Additionally — including in allowlisted
-    files — no wall-clock value may reach an ``as_dict`` payload: records
-    and specs are fingerprinted and checkpointed, and a timestamp in one
-    breaks byte-identity across every serial/parallel/resume guarantee.
+    unseeded ``default_rng()``.
     """
 
     id = "RL001"
     name = "determinism"
-    summary = (
-        "no hash()/wall-clock/unseeded RNG in library code; "
-        "wall-clock never reaches an as_dict payload"
-    )
+    summary = "no hash()/wall-clock/unseeded RNG in library code"
+
+    def applies_to(self, ctx: ModuleContext) -> bool:
+        return not ctx.parts_endswith("utils", "timing.py")
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
-        allowlisted = ctx.parts_endswith("utils", "timing.py")
-        if not allowlisted:
-            yield from self._check_calls(ctx)
-        yield from self._check_as_dict_payloads(ctx, allowlisted=allowlisted)
-
-    def _check_calls(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in walk_nodes(ctx, ast.Call):
             assert isinstance(node, ast.Call)
             if _is_builtin_hash_call(ctx, node):
@@ -144,72 +127,26 @@ class DeterminismRule(Rule):
         first = node.args[0]
         return isinstance(first, ast.Constant) and first.value is None
 
-    def _check_as_dict_payloads(
-        self, ctx: ModuleContext, *, allowlisted: bool
-    ) -> Iterator[Finding]:
-        """Trace wall-clock values into serialized payloads.
-
-        Within any ``as_dict``: direct wall-clock calls (reported here only
-        for allowlisted files — elsewhere :meth:`_check_calls` already did),
-        references to ``utils.timing`` objects, and loads of local names
-        assigned from a wall-clock expression inside a ``return`` payload.
-        """
-        for fn in walk_nodes(ctx, ast.FunctionDef, ast.AsyncFunctionDef):
-            if fn.name != "as_dict":  # type: ignore[union-attr]
-                continue
-            tainted: set[str] = set()
-            for sub in ast.walk(fn):
-                if isinstance(sub, ast.Assign) and contains_wall_clock(ctx, sub.value):
-                    for target in sub.targets:
-                        for name in ast.walk(target):
-                            if isinstance(name, ast.Name):
-                                tainted.add(name.id)
-                if allowlisted and is_wall_clock_call(ctx, sub):
-                    yield ctx.finding(
-                        self.id,
-                        sub,
-                        "wall-clock read inside as_dict: fingerprinted payloads "
-                        "must not carry timestamps",
-                    )
-                if isinstance(sub, (ast.Name, ast.Attribute)):
-                    qual = ctx.resolve(sub)
-                    if _timing_module_reference(ctx, qual) and not isinstance(
-                        ctx.parent(sub), (ast.ImportFrom, ast.Import)
-                    ):
-                        yield ctx.finding(
-                            self.id,
-                            sub,
-                            f"utils.timing object {qual} referenced inside as_dict: "
-                            "fingerprinted payloads must not carry wall-clock state",
-                        )
-            for ret in ast.walk(fn):
-                if not isinstance(ret, ast.Return) or ret.value is None:
-                    continue
-                for name in ast.walk(ret.value):
-                    if isinstance(name, ast.Name) and name.id in tainted:
-                        yield ctx.finding(
-                            self.id,
-                            name,
-                            f"{name.id!r} holds a wall-clock value and flows into "
-                            "the as_dict payload; records must carry no wall-clock",
-                        )
-
 
 @register
 class BroadExceptRule(Rule):
-    """RL006 — broad handlers must not swallow KeyboardInterrupt/SystemExit.
+    """RL006 — handlers that can catch an interrupt must not swallow it.
 
-    A bare ``except:``, ``except BaseException`` or ``except Exception``
-    that neither re-raises nor sits behind an
-    ``except (KeyboardInterrupt, SystemExit): raise`` handler turns Ctrl-C
+    Only a bare ``except:`` or ``except BaseException`` catches
+    ``KeyboardInterrupt``/``SystemExit``: both derive from ``BaseException``,
+    not ``Exception``.  Such a handler that neither re-raises nor sits behind
+    an ``except (KeyboardInterrupt, SystemExit): raise`` handler turns Ctrl-C
     into silent data ("the member just failed") — deadly in long sweeps.
     """
 
     id = "RL006"
     name = "broad-except"
-    summary = "bare/broad except must re-raise or be preceded by a KI/SE re-raise handler"
+    summary = (
+        "bare except/except BaseException must re-raise or be preceded by a "
+        "KI/SE re-raise handler"
+    )
 
-    _BROAD = {"<bare>", "Exception", "BaseException"}
+    _BROAD = {"<bare>", "BaseException"}
     _INTERRUPTS = {"KeyboardInterrupt", "SystemExit"}
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:

@@ -1,4 +1,4 @@
-"""Project rules RL101-RL105: invariants that are properties of call chains.
+"""Project rules RL101, RL102, RL104, RL105: invariants that are properties of call chains.
 
 Each rule runs over the :class:`~repro.analysis.lint.project.ProjectContext`
 call graph and reports the full offending chain
@@ -12,16 +12,15 @@ heuristics.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .base import Finding, ProjectRule
-from .project import FOLLOWED_KINDS, Edge, ProjectContext, chain_from, propagate
+from .project import FOLLOWED_KINDS, ProjectContext, chain_from, propagate
 from .registry import register
 
 __all__ = [
     "TransitiveEnginePurityRule",
     "TransitiveEvaluatorRule",
-    "DeterminismTaintRule",
     "TransitivePickleSafetyRule",
     "DeadSpecFieldRule",
 ]
@@ -148,149 +147,6 @@ class TransitiveEvaluatorRule(ProjectRule):
                     "score candidates through problem.evaluator "
                     "(evaluate_batch / score_exchange tiers)",
                 )
-
-
-@register
-class DeterminismTaintRule(ProjectRule):
-    """RL103 — wall-clock/RNG-derived values must not reach durable payloads.
-
-    A function whose *return value* derives from a wall-clock read or
-    unseeded RNG — directly, or by returning another tainted function's
-    result — taints every caller that forwards it.  Calling such a function
-    inside an ``as_dict`` body, passing its result to
-    ``stable_text_digest`` (a fingerprint input), or passing it into a
-    checkpoint-store write poisons byte-identity across serial / parallel /
-    resume runs.  RL001 already catches the lexical single-file case; this
-    closes the cross-function one.
-    """
-
-    id = "RL103"
-    name = "determinism-taint"
-    summary = (
-        "no wall-clock/unseeded-RNG-derived return value may flow into "
-        "as_dict payloads, checkpoint writes or stable_text_digest inputs"
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterable[Finding]:
-        tainted = self._tainted_functions(project)
-        if not tainted:
-            return
-        seen: set[tuple[str, int, int, str]] = set()
-        for qual in sorted(project.functions):
-            parts = project.module_parts_of(qual)
-            if _in_tests(parts):
-                continue
-            fn = project.functions[qual]
-            path = project.module_of[qual].path
-            edges = project.edges[qual]
-            if fn.name == "as_dict":
-                for edge in edges:
-                    hit = self._taint_of(edge, tainted)
-                    if hit is None:
-                        continue
-                    chain, reason = hit
-                    key = (path, edge.site.line, edge.site.col, "as_dict")
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield _finding(
-                        path,
-                        edge.site.line,
-                        edge.site.col,
-                        self.id,
-                        f"as_dict payload receives a value derived from {reason} "
-                        f"via {project.render_chain([qual] + chain)}; "
-                        "fingerprinted payloads must be wall-clock/RNG free",
-                    )
-            for i, edge in enumerate(edges):
-                sink = self._sink_kind(edge)
-                if sink is None:
-                    continue
-                for arg_index in edge.site.arg_calls:
-                    arg_edge = edges[arg_index]
-                    hit = self._taint_of(arg_edge, tainted)
-                    if hit is None:
-                        continue
-                    chain, reason = hit
-                    key = (path, arg_edge.site.line, arg_edge.site.col, sink)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield _finding(
-                        path,
-                        arg_edge.site.line,
-                        arg_edge.site.col,
-                        self.id,
-                        f"{sink} receives a value derived from {reason} via "
-                        f"{project.render_chain([qual] + chain)}; "
-                        "determinism-critical inputs must be wall-clock/RNG free",
-                    )
-
-    @staticmethod
-    def _sink_kind(edge: Edge) -> "str | None":
-        site = edge.site
-        if site.attr == "stable_text_digest":
-            return "stable_text_digest fingerprint input"
-        if (
-            site.attr in ("append", "initialize")
-            and site.recv is not None
-            and "store" in site.recv.split(".")[-1].lower()
-        ):
-            return "checkpoint-store write"
-        return None
-
-    @staticmethod
-    def _taint_of(
-        edge: Edge, tainted: Mapping[str, tuple[list[str], str]]
-    ) -> "tuple[list[str], str] | None":
-        if edge.kind not in FOLLOWED_KINDS or edge.target is None:
-            return None
-        # the stored chain already starts at the tainted callee
-        return tainted.get(edge.target)
-
-    @staticmethod
-    def _tainted_functions(
-        project: ProjectContext,
-    ) -> dict[str, tuple[list[str], str]]:
-        """Functions whose return value is nondeterminism-derived.
-
-        Returns qual -> (chain of quals from the function to the origin,
-        reason string).  Computed as a deterministic fixpoint: a function is
-        tainted if a return expression contains a nondeterministic call, or
-        returns (a name assigned from / a call to) a tainted function.
-        """
-        tainted: dict[str, tuple[list[str], str]] = {}
-        for qual in sorted(project.functions):
-            fn = project.functions[qual]
-            if fn.ret_direct is not None:
-                tainted[qual] = ([qual], fn.ret_direct)
-                continue
-            for name, direct, _calls in fn.assigns:
-                if direct is not None and name in fn.ret_names:
-                    tainted[qual] = ([qual], direct)
-                    break
-        changed = True
-        while changed:
-            changed = False
-            for qual in sorted(project.functions):
-                if qual in tainted:
-                    continue
-                fn = project.functions[qual]
-                edges = project.edges[qual]
-                flow_indices = set(fn.ret_calls)
-                for name, _direct, calls in fn.assigns:
-                    if name in fn.ret_names:
-                        flow_indices.update(calls)
-                for index in sorted(flow_indices):
-                    edge = edges[index]
-                    if edge.kind not in FOLLOWED_KINDS or edge.target is None:
-                        continue
-                    hit = tainted.get(edge.target)
-                    if hit is not None:
-                        tainted[qual] = ([qual] + hit[0], hit[1])
-                        changed = True
-                        break
-        return tainted
 
 
 #: Type names (matched on the last dotted segment) that never pickle: locks

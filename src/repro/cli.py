@@ -27,10 +27,11 @@ Sub-commands
     List the paper's workload settings and the registered algorithms.
 ``lint``
     Run repro-lint, the AST-based architecture-invariant checker: per-file
-    rules RL001-RL008 (determinism, evaluator routing, work-unit contract,
-    checkpoint hygiene, spec strictness, exception hygiene, seed
-    derivations, engine purity), plus the call-graph rules RL101-RL105 when
-    a directory is linted.  Exits 1 on findings, so CI can gate on it.
+    rules RL001-RL004 and RL006-RL008 (determinism, evaluator routing,
+    work-unit contract, checkpoint hygiene, exception hygiene, seed
+    derivations, engine purity), plus the call-graph rules RL101, RL102,
+    RL104 and RL105 when a directory is linted.  Exits 1 on findings, so CI
+    can gate on it.
 """
 
 from __future__ import annotations

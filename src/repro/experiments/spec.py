@@ -103,7 +103,8 @@ class WorkloadSpec:
     the setting's own values, exactly like
     :func:`~repro.experiments.config.default_plan`; ``base_seed`` is the root
     of every derived seed, so two studies sharing a workload spec solve
-    literally the same instances.
+    literally the same instances.  Every field decides which instances get
+    solved, so all of them enter the study fingerprint.
     """
 
     setting: WorkloadSetting
@@ -112,9 +113,6 @@ class WorkloadSpec:
     base_seed: int = 2016
 
     _FIELDS = ("setting", "num_configurations", "target_throughputs", "base_seed")
-    # every workload field determines which instances get solved
-    _FINGERPRINTED = ("setting", "num_configurations", "target_throughputs", "base_seed")
-    _EXECUTION_ONLY = ()
 
     def __post_init__(self) -> None:
         if isinstance(self.setting, str):
@@ -211,7 +209,10 @@ class ExecutionSpec:
     keeps a ``<dir>/<study>-study.json`` manifest whose fingerprint ties the
     two checkpoints to the spec that produced them.  None of these fields
     enters the study fingerprint — re-running with more workers or a
-    different checkpoint location is still the same study.
+    different checkpoint location is still the same study.  All but
+    ``capture_allocations`` are pure scheduling; ``capture_allocations`` adds
+    the allocation payload to sweep records (costs unchanged), and a
+    validation spec forces it on.
     """
 
     workers: int | None = None
@@ -225,21 +226,6 @@ class ExecutionSpec:
     memo_path: str | None = None
 
     _FIELDS = (
-        "workers",
-        "chunk_size",
-        "store_dir",
-        "sweep_store",
-        "validation_store",
-        "resume",
-        "capture_allocations",
-        "memo",
-        "memo_path",
-    )
-    # none of these enters the fingerprint; all but capture_allocations are
-    # pure scheduling, while capture_allocations adds the allocation payload
-    # to sweep records (costs unchanged; a validation spec forces it on)
-    _FINGERPRINTED = ()
-    _EXECUTION_ONLY = (
         "workers",
         "chunk_size",
         "store_dir",
@@ -342,7 +328,9 @@ class ValidationSpec:
     the fast-screen tier (``"none"`` = exact DES everywhere, ``"fluid"`` =
     analytic pre-screen escalating only cells whose fluid peak utilisation
     reaches ``screen_threshold``); both serialise only when non-default, so
-    existing study fingerprints are unchanged.
+    existing study fingerprints are unchanged.  The whole grid is scientific
+    content and enters the study fingerprint, the screen tier included: it
+    decides which cells come back as fluid rather than DES records.
     """
 
     horizons: tuple[float, ...] = (50.0,)
@@ -364,19 +352,6 @@ class ValidationSpec:
         "screen",
         "screen_threshold",
     )
-    # the whole grid (and the screen tier, which decides fluid-vs-DES records)
-    # is scientific content
-    _FINGERPRINTED = (
-        "horizons",
-        "rate_multipliers",
-        "warmup_fraction",
-        "max_datasets",
-        "algorithms",
-        "scenarios",
-        "screen",
-        "screen_threshold",
-    )
-    _EXECUTION_ONLY = ()
 
     def __post_init__(self) -> None:
         horizons = tuple(float(h) for h in self.horizons)
@@ -531,7 +506,8 @@ class StudySpec:
     checked against the solver registry's typed parameter schema (unknown
     solvers and misspelled options raise before anything runs) and a
     validation ``algorithms`` filter may only name algorithms the study
-    actually sweeps.
+    actually sweeps.  :func:`study_fingerprint` hashes everything but the
+    labels (``name``, ``description``) and ``execution``.
     """
 
     name: str
@@ -551,9 +527,6 @@ class StudySpec:
         "series",
         "description",
     )
-    # mirrors study_fingerprint: labels and scheduling stay out of the hash
-    _FINGERPRINTED = ("workload", "algorithms", "validation", "series")
-    _EXECUTION_ONLY = ("name", "description", "execution")
 
     def __post_init__(self) -> None:
         if not str(self.name).strip():

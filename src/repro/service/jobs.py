@@ -381,8 +381,6 @@ class JobManager:
         except _ShutdownRequested:
             with self._lock:
                 job.state = "queued"  # checkpointed up to the aborted unit
-        except (KeyboardInterrupt, SystemExit):
-            raise
         except Exception as exc:  # one job's failure must not take the service down
             with self._lock:
                 job.state = "failed"

@@ -5,7 +5,8 @@ where wall-clock *measurements* accumulate — request latencies and uptime,
 taken with the sanctioned timing helpers by the HTTP layer.  The numbers are
 observability-only: :meth:`ServiceMetrics.snapshot` feeds ``GET /metrics``
 and nothing else, so no wall-clock-derived value can reach a record, a
-fingerprint or a checkpoint store (the RL103 discipline).
+fingerprint or a checkpoint store (the byte-identity tests, such as
+``tests/experiments/test_driver_properties.py``, fail if one does).
 """
 
 from __future__ import annotations

@@ -85,8 +85,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 )
             except ServiceError as exc:
                 status, payload = exc.status, {"error": exc.code, "message": str(exc)}
-            except (KeyboardInterrupt, SystemExit):
-                raise
             except Exception as exc:  # a handler bug must not kill the server
                 status, payload = 500, {
                     "error": "internal",

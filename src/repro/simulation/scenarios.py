@@ -327,7 +327,10 @@ class ScenarioSpec:
 
     The default-constructed spec (``baseline``: deterministic arrivals, no
     modifiers) reproduces the paper's assumptions exactly and is what every
-    pre-scenario checkpoint implicitly ran.
+    pre-scenario checkpoint implicitly ran.  A scenario is pure scientific
+    content: its name seeds the simulation stream
+    (:func:`~repro.experiments.validation.scenario_seed`) and every other
+    field shapes the injected load.
     """
 
     name: str = "baseline"
@@ -336,10 +339,6 @@ class ScenarioSpec:
     failures: tuple[FailureWindow, ...] = ()
 
     _FIELDS = ("name", "arrival", "slowdowns", "failures")
-    # a scenario is pure scientific content: its name seeds the simulation
-    # stream (scenario_seed) and every other field shapes the injected load
-    _FINGERPRINTED = ("name", "arrival", "slowdowns", "failures")
-    _EXECUTION_ONLY = ()
 
     def __post_init__(self) -> None:
         if not self.name or not str(self.name).strip():

@@ -5,5 +5,5 @@
 def fallback(action):
     try:
         return action()
-    except Exception:  # repro-lint: disable=RL006 -- demo fallback; caller re-raises interrupts
+    except BaseException:  # repro-lint: disable=RL006 -- demo fallback; caller re-raises interrupts
         return None

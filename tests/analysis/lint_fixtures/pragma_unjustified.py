@@ -5,5 +5,5 @@
 def fallback(action):
     try:
         return action()
-    except Exception:  # repro-lint: disable=RL006
+    except BaseException:  # repro-lint: disable=RL006
         return None

@@ -13,8 +13,6 @@ class TuneSpec:
     shadow_mode: bool = False
 
     _FIELDS = ("rounds", "shadow_mode")
-    _FINGERPRINTED = ("rounds", "shadow_mode")
-    _EXECUTION_ONLY = ()
 
     def effective_rounds(self):
         return 0 if self.shadow_mode else self.rounds

@@ -1,5 +1,5 @@
 # lint-path: heuristics/except_fixture.py
-"""RL006 clean twin: interrupts re-raise before (or inside) broad handlers."""
+"""RL006 clean twin: interrupts propagate past every handler."""
 
 
 def run_members(solvers, problem):
@@ -7,16 +7,23 @@ def run_members(solvers, problem):
     for solver in solvers:
         try:
             results.append(solver.solve(problem))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
+        except Exception:  # KeyboardInterrupt/SystemExit are not Exceptions
             results.append(None)
     return results
+
+
+def swallow_failures(action):
+    try:
+        return action()
+    except (KeyboardInterrupt, SystemExit):
+        raise
+    except BaseException:
+        return None
 
 
 def annotate(action, errors):
     try:
         return action()
-    except Exception as exc:
+    except BaseException as exc:
         errors.append(str(exc))
         raise

@@ -1,5 +1,5 @@
 # lint-path: heuristics/except_fixture.py
-"""RL006 violation fixture: broad handlers that swallow interrupts."""
+"""RL006 violation fixture: handlers that catch interrupts and swallow them."""
 
 
 def run_members(solvers, problem):
@@ -7,7 +7,7 @@ def run_members(solvers, problem):
     for solver in solvers:
         try:
             results.append(solver.solve(problem))
-        except Exception:  # expect: RL006
+        except BaseException:  # expect: RL006
             results.append(None)
     return results
 

@@ -1,4 +1,4 @@
-"""Fixture tests for the repro-lint rules (RL001-RL008) and the pragma layer.
+"""Fixture tests for the per-file repro-lint rules and the pragma layer.
 
 Every rule has one *violation* fixture — each expected finding marked with a
 trailing ``# expect: RLnnn`` comment on the offending line — and one *clean
@@ -35,11 +35,10 @@ _PATH_RE = re.compile(r"^#\s*lint-path:\s*(?P<path>\S+)", re.MULTILINE)
 
 #: rule id -> violation fixtures exercising it (clean twin = s/violation/clean/)
 VIOLATION_FIXTURES = {
-    "RL001": ("rl001_violation.py", "rl001_timing_violation.py"),
+    "RL001": ("rl001_violation.py",),
     "RL002": ("rl002_violation.py",),
     "RL003": ("rl003_violation.py",),
     "RL004": ("rl004_violation.py",),
-    "RL005": ("rl005_violation.py",),
     "RL006": ("rl006_violation.py",),
     "RL007": ("rl007_violation.py",),
     "RL008": ("rl008_violation.py",),
@@ -106,6 +105,9 @@ class TestRuleFixtures:
         # the slow-path loop is the validated reference inside core/ and tests
         assert lint_pairs(source, "core/problem.py", rules=make_rules(["RL002"])) == []
         assert lint_pairs(source, "tests/test_x.py", rules=make_rules(["RL002"])) == []
+        # determinism applies nowhere in the wall-clock helpers module
+        source, _, _ = load_fixture("rl001_violation.py")
+        assert lint_pairs(source, "utils/timing.py", rules=make_rules(["RL001"])) == []
         engine, _, _ = load_fixture("rl008_violation.py")
         # the engine-purity rule only applies to simulation/engine.py
         assert lint_pairs(engine, "simulation/stream.py", rules=make_rules(["RL008"])) == []
@@ -168,7 +170,7 @@ class TestModeFollowsInput:
     def test_directory_run_adds_only_the_project_rules(self, tmp_path, fixture):
         # on disk at its lint-path, a fixture passed as a file gets the
         # per-file rules with the findings of its virtual path; passed as a
-        # directory it gets all 13 rules and the same per-file findings
+        # directory it gets all 11 rules and the same per-file findings
         source, path, _ = load_fixture(fixture)
         target = tmp_path / path
         target.parent.mkdir(parents=True)

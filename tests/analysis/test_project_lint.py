@@ -34,7 +34,6 @@ _PATH_RE = re.compile(r"^#\s*lint-path:\s*(?P<path>\S+)", re.MULTILINE)
 PROJECT_VIOLATION_TREES = {
     "RL101": "rl101_violation",
     "RL102": "rl102_violation",
-    "RL103": "rl103_violation",
     "RL104": "rl104_violation",
     "RL105": "rl105_violation",
 }
@@ -44,7 +43,6 @@ PROJECT_VIOLATION_TREES = {
 CHAIN_FRAGMENTS = {
     "RL101": ("dispatch", "drain_trace", "→"),
     "RL102": ("refine", "split_cost", "evaluate_split", "→"),
-    "RL103": ("elapsed_field", "wall_elapsed", "→"),
 }
 
 
@@ -149,7 +147,7 @@ class TestDeterminism:
     def tree(self, tmp_path):
         root = tmp_path / "tree"
         files = materialize_tree("rl101_violation", root)
-        files += materialize_tree("rl103_violation", root)
+        files += materialize_tree("rl102_violation", root)
         return root, files
 
     def test_cold_warm_and_shuffled_runs_are_byte_identical(self, tree):
@@ -163,7 +161,7 @@ class TestDeterminism:
         assert render_json(first) == render_json(second) == render_json(reordered)
         assert first.project is not None and second.project is not None
         assert first.project.edges == second.project.edges
-        assert {f.rule_id for f in first.findings} >= {"RL101", "RL103"}
+        assert {f.rule_id for f in first.findings} >= {"RL101", "RL102"}
 
 
 class TestProjectCli:

@@ -33,9 +33,16 @@ class TestH4SimulatedAnnealing:
         assert result.allocation.split.total == pytest.approx(70)
 
     def test_deterministic_for_seed(self, illustrating_problem_70):
-        a = H4SimulatedAnnealingSolver(iterations=300, delta=10, seed=9).solve(illustrating_problem_70)
-        b = H4SimulatedAnnealingSolver(iterations=300, delta=10, seed=9).solve(illustrating_problem_70)
-        assert a.cost == b.cost
+        # compare what the seed drives, not only the (often optimal) cost
+        a, b = (
+            H4SimulatedAnnealingSolver(iterations=300, delta=10, seed=9, record_trace=True).solve(
+                illustrating_problem_70
+            )
+            for _ in range(2)
+        )
+        assert a.meta["trace"].costs == b.meta["trace"].costs
+        assert list(a.allocation.split.values) == list(b.allocation.split.values)
+        assert a.iterations == b.iterations
 
     def test_metadata_reports_acceptance_and_temperature(self, illustrating_problem_70):
         result = H4SimulatedAnnealingSolver(iterations=100, delta=10, seed=0).solve(illustrating_problem_70)

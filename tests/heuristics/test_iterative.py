@@ -17,10 +17,14 @@ from repro.heuristics import (
 )
 
 ITERATIVE_SOLVERS = [
-    lambda seed: H2RandomWalkSolver(iterations=500, delta=10, seed=seed),
-    lambda seed: H31StochasticDescentSolver(iterations=500, delta=10, seed=seed),
-    lambda seed: H32SteepestGradientSolver(iterations=200, delta=10, seed=seed),
-    lambda seed: H32JumpSolver(iterations=200, delta=10, seed=seed),
+    lambda seed, **options: H2RandomWalkSolver(iterations=500, delta=10, seed=seed, **options),
+    lambda seed, **options: H31StochasticDescentSolver(
+        iterations=500, delta=10, seed=seed, **options
+    ),
+    lambda seed, **options: H32SteepestGradientSolver(
+        iterations=200, delta=10, seed=seed, **options
+    ),
+    lambda seed, **options: H32JumpSolver(iterations=200, delta=10, seed=seed, **options),
 ]
 
 
@@ -44,10 +48,14 @@ class TestCommonProperties:
 
     @pytest.mark.parametrize("factory", ITERATIVE_SOLVERS)
     def test_deterministic_for_fixed_seed(self, factory, illustrating_problem_70):
-        assert (
-            factory(7).solve(illustrating_problem_70).cost
-            == factory(7).solve(illustrating_problem_70).cost
+        # every seed reaches cost 124 here, so equal costs prove nothing:
+        # compare what the seed drives (the walk, its result, its length)
+        first, second = (
+            factory(7, record_trace=True).solve(illustrating_problem_70) for _ in range(2)
         )
+        assert first.meta["trace"].costs == second.meta["trace"].costs
+        assert list(first.allocation.split.values) == list(second.allocation.split.values)
+        assert first.iterations == second.iterations
 
     @pytest.mark.parametrize("factory", ITERATIVE_SOLVERS)
     def test_not_optimal_flag(self, factory, illustrating_problem_70):

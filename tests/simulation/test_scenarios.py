@@ -155,7 +155,7 @@ class TestScenarioSpec:
 
     def test_from_dict_rejects_unknown_fields(self):
         # a misspelled axis must fail loudly, not silently deserialize into
-        # a different scenario (RL005's spec-strictness invariant)
+        # a different scenario: this test, not the lint, holds spec strictness
         with pytest.raises(SimulationError, match="unknown field"):
             ScenarioSpec.from_dict({"name": "bare", "slowdown": [[1, 0.5]]})
 
