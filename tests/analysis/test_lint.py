@@ -226,6 +226,15 @@ class TestLintCli:
         assert cli_main(["lint", str(target), "--rule", "RL999"]) == 2
         assert "RL999" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rule_id", ["RL005", "RL103"])
+    def test_deleted_rule_is_an_unknown_rule(self, tmp_path, capsys, rule_id):
+        # RL005 and RL103 were deleted: tier-1 tests catch every violation
+        # they caught, so asking for them is a usage error, not a silent pass
+        self._write(tmp_path, "rl006_clean.py")
+        assert cli_main(["lint", str(tmp_path), "--rule", rule_id]) == 2
+        assert rule_id in capsys.readouterr().err
+        assert rule_id not in rule_ids()
+
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert cli_main(["lint", str(tmp_path / "nope.py")]) == 2
         assert "does not exist" in capsys.readouterr().err

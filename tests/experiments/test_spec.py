@@ -19,7 +19,7 @@ from repro.experiments.spec import (
 )
 from repro.experiments.config import AlgorithmSpec
 from repro.generators.workload import get_setting
-from repro.simulation.scenarios import PoissonArrivals, ScenarioSpec
+from repro.simulation.scenarios import FailureWindow, PoissonArrivals, ScenarioSpec
 
 
 def tiny_spec(**overrides) -> StudySpec:
@@ -279,6 +279,89 @@ class TestFingerprint:
                                       AlgorithmSpec("H2", {"iterations": 41},
                                                     seed_sensitive=True)))
         assert other.fingerprint() != spec.fingerprint()
+
+
+#: the partition study_fingerprint draws, one non-default value per field:
+#: (section, field) -> the changes that set it.  Execution fields change how a
+#: study runs and must leave the fingerprint alone; every other field changes
+#: what it computes and must move it.
+EXECUTION_ONLY_CHANGES = {
+    ("execution", "workers"): {"workers": 8},
+    ("execution", "chunk_size"): {"chunk_size": 3},
+    ("execution", "store_dir"): {"store_dir": "elsewhere"},
+    ("execution", "sweep_store"): {"sweep_store": "sweep.jsonl"},
+    ("execution", "validation_store"): {"validation_store": "validation.jsonl"},
+    ("execution", "resume"): {"resume": True, "store_dir": "runs"},
+    ("execution", "capture_allocations"): {"capture_allocations": True},
+    ("execution", "memo"): {"memo": True},
+    ("execution", "memo_path"): {"memo": True, "memo_path": "memo.sqlite"},
+}
+SCIENTIFIC_CHANGES = {
+    ("workload", "setting"): {"setting": "medium"},
+    ("workload", "num_configurations"): {"num_configurations": 2},
+    ("workload", "target_throughputs"): {"target_throughputs": (70,)},
+    ("workload", "base_seed"): {"base_seed": 7},
+    ("validation", "horizons"): {"horizons": (12.0,)},
+    ("validation", "rate_multipliers"): {"rate_multipliers": (1.05,)},
+    ("validation", "warmup_fraction"): {"warmup_fraction": 0.2},
+    ("validation", "max_datasets"): {"max_datasets": 50},
+    ("validation", "algorithms"): {"algorithms": ("ILP",)},
+    ("validation", "scenarios"): {
+        "scenarios": (ScenarioSpec(), ScenarioSpec(name="poisson", arrival=PoissonArrivals()))
+    },
+    ("validation", "screen"): {"screen": "fluid"},
+    ("validation", "screen_threshold"): {"screen_threshold": 0.9},
+    # a scenario's name seeds its simulation stream, so it is content too
+    ("scenario", "name"): {"name": "renamed"},
+    ("scenario", "arrival"): {"arrival": PoissonArrivals()},
+    ("scenario", "slowdowns"): {"slowdowns": ((1, 0.5),)},
+    ("scenario", "failures"): {"failures": (FailureWindow(1, start=1.0, duration=2.0),)},
+    ("study", "algorithms"): {"algorithms": (AlgorithmSpec("ILP"), AlgorithmSpec("H1"))},
+    ("study", "series"): {"series": "mean_time"},
+}
+
+
+def _partition_base() -> StudySpec:
+    """A study with every section present, so each field has a place to change."""
+    return tiny_spec(validation=ValidationSpec(horizons=(6.0,), rate_multipliers=(1.0,),
+                                               scenarios=(ScenarioSpec(),)))
+
+
+def _changed(spec: StudySpec, section: str, changes) -> StudySpec:
+    if section == "study":
+        return replace(spec, **changes)
+    if section == "scenario":
+        scenario = replace(spec.validation.scenarios[0], **changes)
+        return replace(spec, validation=replace(spec.validation, scenarios=(scenario,)))
+    return replace(spec, **{section: replace(getattr(spec, section), **changes)})
+
+
+class TestFingerprintPartition:
+    def test_every_field_is_on_one_side(self):
+        sides = {**EXECUTION_ONLY_CHANGES, **SCIENTIFIC_CHANGES}
+        for section, cls in (("execution", ExecutionSpec), ("workload", WorkloadSpec),
+                             ("validation", ValidationSpec), ("scenario", ScenarioSpec)):
+            assert sorted(name for sec, name in sides if sec == section) == sorted(cls._FIELDS)
+        # a study's own fields: its sections, plus the labels that
+        # TestFingerprint.test_labels_do_not_change_it holds
+        study = {name for sec, name in sides if sec == "study"}
+        assert study | {"workload", "execution", "validation", "name", "description"} == set(
+            StudySpec._FIELDS
+        )
+
+    @pytest.mark.parametrize("section, field", sorted(EXECUTION_ONLY_CHANGES))
+    def test_execution_field_leaves_it_alone(self, section, field):
+        spec = _partition_base()
+        changed = _changed(spec, section, EXECUTION_ONLY_CHANGES[section, field])
+        assert changed != spec
+        assert changed.fingerprint() == spec.fingerprint()
+
+    @pytest.mark.parametrize("section, field", sorted(SCIENTIFIC_CHANGES))
+    def test_scientific_field_moves_it(self, section, field):
+        spec = _partition_base()
+        changed = _changed(spec, section, SCIENTIFIC_CHANGES[section, field])
+        assert changed != spec
+        assert changed.fingerprint() != spec.fingerprint()
 
 
 class TestStudyPipeline:
