@@ -15,6 +15,11 @@ verdict rests on a number measured on another machine:
   loaded recipes, ``_snap_ceil`` over each pair's type mask); per solve a
   bitwise-identical best split, best cost and iteration count, and (full
   mode) the solvers >= 1.5x faster;
+* **exact units**: the ILP cells of sweep-solve-sized units (medium setting,
+  five throughputs each) through ``run_configuration``, which solves a unit's
+  ILP cells side by side on threads, and through a replica of the loop that
+  solved them one at a time in the calling thread; equal splits and costs,
+  and (full mode, >= 2 usable CPUs) the threaded run >= 1.5x faster;
 * **DES engine**: every cell of a scenario campaign through ``StreamSimulator``
   with ``engine="fast"`` and ``"reference"``; equal reports once the fast
   engine's ``event_counters`` are stripped, and the fast engine >= 2x faster;
@@ -44,8 +49,8 @@ import numpy as np
 from repro.core import MinCostProblem
 from repro.core.evaluator import _snap_ceil
 from repro.experiments.backends import ProcessPoolBackend
-from repro.experiments.config import default_plan
-from repro.experiments.runner import run_plan
+from repro.experiments.config import AlgorithmSpec, default_plan
+from repro.experiments.runner import _usable_cpus, run_configuration, run_plan
 from repro.experiments.validation import (
     CampaignResult,
     ValidationPlan,
@@ -71,12 +76,15 @@ from repro.simulation import (
     ScenarioSpec,
     StreamSimulator,
 )
+from repro.solvers import MilpSolver
 
 J_LARGE = 50
 Q_LARGE = 20
 RHO_LARGE = 100.0
 DELTA = 10.0
 POOL_WORKERS = 2
+#: The throughputs of one sweep-solve work unit (perfbench's sweep studies).
+EXACT_THROUGHPUTS = (20.0, 60.0, 100.0, 140.0, 180.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -247,6 +255,15 @@ def seed_random_walk(
     return best_split, best_cost, performed
 
 
+def seed_exact_unit(configuration, throughputs) -> list[tuple]:
+    """A unit's ILP cells as the runner solved them before: in order, in this thread."""
+    out = []
+    for rho in throughputs:
+        result = MilpSolver().solve(configuration.problem(rho), check=False)
+        out.append((tuple(float(v) for v in result.split.values), float(result.cost)))
+    return out
+
+
 # --------------------------------------------------------------------------- #
 # measurements
 # --------------------------------------------------------------------------- #
@@ -391,6 +408,39 @@ def bench_random_walks(problems: list[tuple[str, MinCostProblem]], repeats: int)
     }
 
 
+def bench_exact_units(num_configurations: int, repeats: int) -> dict:
+    """Sweep-solve-sized units of ILP cells: threaded runner vs one at a time."""
+    setting = get_setting("medium")
+    configurations = [generate_configuration(setting, seed=2000 + index, index=index)
+                      for index in range(num_configurations)]
+    ilp = [AlgorithmSpec("ILP")]
+    # the first solve imports scipy: keep it out of both timings
+    seed_exact_unit(configurations[0], EXACT_THROUGHPUTS[:1])
+
+    def threaded() -> list[tuple]:
+        return [(record.allocation.split, record.cost)
+                for configuration in configurations
+                for record in run_configuration(configuration, ilp, EXACT_THROUGHPUTS,
+                                                capture_allocations=True)]
+
+    seed_time, seed_out = _best_of(
+        lambda: [cell for configuration in configurations
+                 for cell in seed_exact_unit(configuration, EXACT_THROUGHPUTS)],
+        repeats,
+    )
+    threaded_time, threaded_out = _best_of(threaded, repeats)
+    width = min(len(EXACT_THROUGHPUTS), _usable_cpus())
+    return {
+        "solves": len(seed_out),
+        "usable_cpus": _usable_cpus(),
+        "threads": width if width >= 2 else 0,
+        "seed_seconds": seed_time,
+        "threaded_seconds": threaded_time,
+        "speedup": seed_time / threaded_time if threaded_time > 0 else float("inf"),
+        "identical": threaded_out == seed_out,
+    }
+
+
 # --------------------------------------------------------------------------- #
 # the scenario campaign: DES engine and process pool
 # --------------------------------------------------------------------------- #
@@ -520,6 +570,7 @@ def run(smoke: bool = False) -> dict:
         "micro": bench_micro(problem, repeats),
         "fig3_equivalence": check_fig3_costs(**fig3),
         "random_walks": bench_random_walks(walk_problems, repeats),
+        "exact_units": bench_exact_units(2 if smoke else 4, repeats),
     }
     plan = build_campaign(smoke)
     # the pool gate runs the campaign's first simulations in this process, as
@@ -543,6 +594,13 @@ def verdict(report: dict) -> list[str]:
                         f"of {walks['solves']} solves")
     if not report["smoke"] and walks["speedup"] < 1.5:
         failures.append(f"H2/H31 speedup {walks['speedup']:.2f}x below the 1.5x target")
+    exact = report["exact_units"]
+    if not exact["identical"]:
+        failures.append("threaded ILP units give other splits or costs than one at a time")
+    # threads can only overlap where the process may use two CPUs
+    if not report["smoke"] and exact["usable_cpus"] >= 2 and exact["speedup"] < 1.5:
+        failures.append(f"threaded ILP units only {exact['speedup']:.2f}x faster than one "
+                        f"at a time (fail below 1.50x)")
     if not engine["reports_identical"]:
         failures.append("fast-engine reports differ from the reference engine's")
     if engine["speedup"] < 2.0:
@@ -585,6 +643,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"random walks ({walks['solves']} H2/H31 solves)  seed={walks['seed_seconds']:.3f}s"
           f"  solvers={walks['solver_seconds']:.3f}s  speedup={walks['speedup']:.2f}x  "
           f"bitwise_identical={walks['bitwise_identical']}")
+    exact = report["exact_units"]
+    print(f"exact units ({exact['solves']} ILP solves, {exact['threads']} threads)  "
+          f"one-at-a-time={exact['seed_seconds']:.2f}s  threaded={exact['threaded_seconds']:.2f}s"
+          f"  speedup={exact['speedup']:.2f}x  identical={exact['identical']}")
     engine = report["des_engine"]
     print(f"DES engine ({engine['cells']} cells)  reference={engine['reference_seconds']:.2f}s"
           f"  fast={engine['fast_seconds']:.2f}s  speedup={engine['speedup']:.2f}x  "

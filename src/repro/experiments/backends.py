@@ -10,8 +10,11 @@ makes units cheap to ship to worker processes and guarantees that the serial
 and parallel backends produce identical records (up to wall-clock timings)
 for deterministic solvers.  The one caveat is time-limited solvers (e.g. the
 ILP with ``time_limit``, Figure 8): they return their best incumbent when the
-wall-clock limit fires, so their cost depends on how much CPU the worker got
-— the runner warns when such a plan is parallelised.
+wall-clock limit fires, so their cost depends on how much CPU they got — the
+runner warns when such a plan is parallelised.  Serial runs share the caveat:
+a unit solves its ILP cells side by side on threads
+(:func:`~repro.experiments.runner.run_configuration`), so each incumbent also
+depends on the CPU share of its thread.
 
 Two backends are provided:
 

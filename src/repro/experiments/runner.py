@@ -20,6 +20,8 @@ and wall-clock time recorded.  The result is a flat list of
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
@@ -28,6 +30,8 @@ import numpy as np
 
 from ..core.allocation import Allocation, ThroughputSplit
 from ..generators.workload import Configuration
+from ..solvers.base import SolverResult
+from ..solvers.milp import MilpSolver
 from ..utils.rng import derive_seed, stable_text_digest
 from .config import AlgorithmSpec, ExperimentPlan
 
@@ -292,10 +296,24 @@ def run_configuration(
 ) -> Iterator[RunRecord]:
     """Run every algorithm on one configuration for every target throughput.
 
+    Records come in canonical order: throughput-major, then the algorithms'
+    order.  The exact solver (:class:`~repro.solvers.milp.MilpSolver`) spends
+    its time inside HiGHS, which releases the GIL, so when a call holds two
+    or more ILP cells and the process may use two or more CPUs, those cells
+    are solved first, side by side on a thread pool of
+    ``min(ILP cells, usable CPUs)`` threads that is shut down before the
+    first record is yielded; every other cell is solved in the calling
+    thread, in order.  A call with one ILP cell, or a one-CPU process,
+    starts no thread.  Records equal those of an in-order loop except for
+    the ILP's wall-clock ``time`` — and, for a time-limited ILP, the
+    incumbent it had when its limit fired, which depends on the CPU share
+    it got.
+
     With ``capture_allocations`` every record carries an
     :class:`AllocationPayload` (split + machine counts), letting validation
     campaigns replay exactly the allocation that was solved.
     """
+    cells: list[tuple] = []  # (rho, spec, solver, problem), in record order
     for rho in target_throughputs:
         problem = configuration.problem(rho)
         for spec in algorithms:
@@ -307,20 +325,45 @@ def run_configuration(
                 int(rho),
                 stable_text_digest(spec.name, bits=16),
             )
-            solver = spec.build(seed=seed)
-            result = solver.solve(problem, check=False)
-            yield RunRecord(
-                configuration=configuration.index,
-                rho=float(rho),
-                algorithm=spec.name,
-                cost=float(result.cost),
-                time=float(result.solve_time),
-                optimal=bool(result.optimal),
-                iterations=int(result.iterations),
-                allocation=AllocationPayload.from_allocation(result.allocation)
-                if capture_allocations
-                else None,
-            )
+            cells.append((rho, spec, spec.build(seed=seed), problem))
+    exact = [i for i, (_, _, solver, _) in enumerate(cells) if isinstance(solver, MilpSolver)]
+    width = min(len(exact), _usable_cpus())
+    solved: dict[int, SolverResult] = {}
+    if width >= 2:
+        executor = ThreadPoolExecutor(width, thread_name_prefix="repro-ilp")
+        try:
+            results = executor.map(lambda index: _solve(cells[index]), exact)
+            solved = dict(zip(exact, results))
+        finally:
+            executor.shutdown(cancel_futures=True)
+    for index, cell in enumerate(cells):
+        rho, spec, _, _ = cell
+        result = solved[index] if index in solved else _solve(cell)
+        yield RunRecord(
+            configuration=configuration.index,
+            rho=float(rho),
+            algorithm=spec.name,
+            cost=float(result.cost),
+            time=float(result.solve_time),
+            optimal=bool(result.optimal),
+            iterations=int(result.iterations),
+            allocation=AllocationPayload.from_allocation(result.allocation)
+            if capture_allocations
+            else None,
+        )
+
+
+def _solve(cell: tuple) -> SolverResult:
+    """Solve one ``(rho, spec, solver, problem)`` cell, timed in the thread that runs it."""
+    _, _, solver, problem = cell
+    return solver.solve(problem, check=False)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sweep_memo_study_key(plan: ExperimentPlan, *, capture_allocations: bool) -> str:
@@ -374,7 +417,10 @@ def run_plan(
         the serial backend up to wall-clock timings — except for time-limited
         algorithms (``time_limit`` in their params), whose incumbent-at-timeout
         depends on how much CPU each worker gets (a ``RuntimeWarning`` is
-        emitted for such plans).
+        emitted for such plans).  A unit solves its ILP cells side by side on
+        threads on every backend, the serial one included (see
+        :func:`run_configuration`), so a time-limited incumbent also depends
+        on the CPU share of its thread in a serial run.
     store:
         Optional :class:`~repro.experiments.store.SweepStore` (or its file
         path) checkpointing each completed work unit to append-only JSONL.

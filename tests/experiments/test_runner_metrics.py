@@ -1,9 +1,11 @@
 """Tests for the sweep runner and the figure metrics."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.core import ConfigurationError
+from repro.core import ConfigurationError, SolverError
 from repro.experiments.config import AlgorithmSpec, ExperimentPlan, default_plan, paper_algorithms
 from repro.experiments.metrics import (
     best_count_series,
@@ -11,8 +13,11 @@ from repro.experiments.metrics import (
     mean_time_series,
     normalized_cost_series,
 )
+from repro.experiments import runner
 from repro.experiments.runner import RunRecord, SweepResult, run_configuration, run_plan
 from repro.generators import generate_configuration, get_setting
+from repro.solvers import MilpSolver
+from repro.utils.rng import derive_seed, stable_text_digest
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +118,64 @@ class TestRunner:
         messages = []
         run_plan(plan, progress=messages.append)
         assert len(messages) == 2
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    @pytest.mark.parametrize("setting", ["small", "medium", "large"])
+    def test_records_equal_an_in_order_loop(self, setting, count):
+        # the ILP cells may be solved on threads first; every record must be
+        # what solving each cell in order in this thread gives
+        configuration = generate_configuration(get_setting(setting), seed=7, index=3)
+        algorithms = paper_algorithms(iterations=100)
+        throughputs = (20.0, 60.0, 100.0, 140.0, 180.0)[:count]
+        expected = []
+        for rho in throughputs:
+            problem = configuration.problem(rho)
+            for spec in algorithms:
+                seed = derive_seed(
+                    2016, configuration.index, int(rho), stable_text_digest(spec.name, bits=16)
+                )
+                result = spec.build(seed=seed).solve(problem, check=False)
+                expected.append(
+                    (rho, spec.name, tuple(result.split.values), result.cost,
+                     result.optimal, result.iterations)
+                )
+        records = run_configuration(
+            configuration, algorithms, throughputs, capture_allocations=True
+        )
+        assert [
+            (r.rho, r.algorithm, r.allocation.split, r.cost, r.optimal, r.iterations)
+            for r in records
+        ] == expected
+
+    def test_failed_ilp_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+        solve_split = MilpSolver.solve_split
+        lock = threading.Lock()
+        threads = []
+
+        def second_call_fails(solver, problem):
+            with lock:
+                threads.append(threading.current_thread().name)
+                call = len(threads)
+            if call == 2:
+                raise SolverError("planted failure")
+            return solve_split(solver, problem)
+
+        # two usable CPUs whatever the host has, so the unit takes the thread path
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(MilpSolver, "solve_split", second_call_fails)
+        configuration = generate_configuration(get_setting("small"), seed=5)
+        algorithms = [AlgorithmSpec("ILP"), AlgorithmSpec("H1")]
+        throughputs = (20.0, 40.0, 60.0, 80.0, 100.0)
+        with pytest.raises(SolverError, match="planted failure"):
+            list(run_configuration(configuration, algorithms, throughputs))
+        assert all(name.startswith("repro-ilp") for name in threads)
+        assert not [t for t in threading.enumerate() if t.name.startswith("repro-ilp")]
+
+        records = list(run_configuration(configuration, algorithms, throughputs))
+        monkeypatch.undo()
+        reference = list(run_configuration(configuration, algorithms, throughputs))
+        assert [r.identity() for r in records] == [r.identity() for r in reference]
+        assert not [t for t in threading.enumerate() if t.name.startswith("repro-ilp")]
 
 
 class TestMetrics:

@@ -39,6 +39,52 @@ def test_package_imports_without_scipy_until_a_solve():
     assert result.returncode == 0, result.stderr
 
 
+def test_study_setup_imports_no_scipy_and_sweeps_leave_no_thread():
+    # perfbench's set-up probe (import, register solvers, build a study)
+    # solves nothing, so it must not pay for scipy or start a thread; the
+    # ILP threads of a sweep unit end with the unit
+    code = textwrap.dedent(
+        """
+        import sys
+        import threading
+
+        import repro.api
+        from repro.api import Study
+        from repro.experiments.config import AlgorithmSpec
+        from repro.experiments.spec import (
+            ExecutionSpec, StudySpec, ValidationSpec, WorkloadSpec,
+        )
+        from repro.solvers.registry import ensure_default_solvers
+
+        ensure_default_solvers()
+
+        def spec(name, throughputs, **fields):
+            return StudySpec(
+                name=name,
+                workload=WorkloadSpec(
+                    setting="small", num_configurations=1, target_throughputs=throughputs
+                ),
+                algorithms=(AlgorithmSpec("ILP"), AlgorithmSpec("H1")),
+                **fields,
+            )
+
+        Study.from_spec(spec("sweep", (40.0,), execution=ExecutionSpec(capture_allocations=True)))
+        Study.from_spec(spec("validated", (40.0,), validation=ValidationSpec(horizons=(3.0,))))
+        assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+        assert threading.active_count() == 1, threading.enumerate()
+        for throughputs in ((40.0,), (40.0, 80.0)):
+            result = Study.from_spec(spec("run", throughputs)).run()
+            assert len(result.sweep.records) == 2 * len(throughputs)
+            assert threading.active_count() == 1, threading.enumerate()
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
 class TestFormulation:
     def test_dimensions(self, illustrating_problem_70):
         formulation = build_formulation(illustrating_problem_70)
