@@ -12,9 +12,9 @@ for deterministic solvers.  The one caveat is time-limited solvers (e.g. the
 ILP with ``time_limit``, Figure 8): they return their best incumbent when the
 wall-clock limit fires, so their cost depends on how much CPU they got — the
 runner warns when such a plan is parallelised.  Serial runs share the caveat:
-a unit solves its ILP cells side by side on threads
-(:func:`~repro.experiments.runner.run_configuration`), so each incumbent also
-depends on the CPU share of its thread.
+there a unit may solve its ILP cells side by side on threads
+(:func:`~repro.experiments.runner.run_configuration`; pool workers start
+none), so each incumbent also depends on the CPU share of its thread.
 
 Two backends are provided:
 

@@ -24,6 +24,13 @@ Figure-to-setting mapping (see DESIGN.md):
 * Figure 7 — "large" setting (50-100 tasks, 8 types);
 * Figure 8 — "xlarge" ILP stress setting (100-200 tasks, 50 types, 100 s limit).
 
+Figures 5 and 8 plot wall-clock times.  Outside a process pool a sweep unit
+may solve its ILP cells side by side on threads (see
+:func:`~repro.experiments.runner.run_configuration`); an ILP time is then the
+wall time of a solve that shared the CPUs with the unit's other ILP solves.
+A pool worker solves them one at a time.  README "Performance" gives the
+measured effect on Figure 5.
+
 ``num_configurations=100`` reproduces the paper-scale experiment.  The
 ``ablation_*`` constructors build the studies of the design choices DESIGN.md
 calls out (iteration budget, exchange granularity, mutation percentage,

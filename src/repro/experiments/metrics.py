@@ -133,7 +133,11 @@ def best_count_series(
 def mean_time_series(
     result: SweepResult, *, algorithms: Sequence[str] | None = None
 ) -> SeriesByAlgorithm:
-    """Mean wall-clock time per throughput (Figures 5 and 8), in seconds."""
+    """Mean wall-clock time per throughput (Figures 5 and 8), in seconds.
+
+    An ILP time may have been measured while other ILP cells of its unit
+    solved beside it (see :func:`~repro.experiments.runner.run_configuration`).
+    """
     algorithms = list(algorithms or result.algorithms())
     throughputs = result.throughputs()
     series: dict[str, list[float]] = {name: [] for name in algorithms}

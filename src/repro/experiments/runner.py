@@ -19,10 +19,13 @@ and wall-clock time recorded.  The result is a flat list of
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import parent_process
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
@@ -297,66 +300,84 @@ def run_configuration(
     """Run every algorithm on one configuration for every target throughput.
 
     Records come in canonical order: throughput-major, then the algorithms'
-    order.  The exact solver (:class:`~repro.solvers.milp.MilpSolver`) spends
-    its time inside HiGHS, which releases the GIL, so when a call holds two
-    or more ILP cells and the process may use two or more CPUs, those cells
-    are solved first, side by side on a thread pool of
-    ``min(ILP cells, usable CPUs)`` threads that is shut down before the
-    first record is yielded; every other cell is solved in the calling
-    thread, in order.  A call with one ILP cell, or a one-CPU process,
-    starts no thread.  Records equal those of an in-order loop except for
-    the ILP's wall-clock ``time`` — and, for a time-limited ILP, the
-    incumbent it had when its limit fired, which depends on the CPU share
-    it got.
+    order.  HiGHS releases the GIL while it solves, so a call may first solve
+    its ILP cells (:class:`~repro.solvers.milp.MilpSolver`) side by side on a
+    thread pool that is shut down before the first record is yielded; every
+    other cell is solved in the calling thread, in order.  The pool has
+    ``min(ILP cells, spare CPUs)`` threads and starts only if that is two or
+    more.  Spare CPUs are the CPUs the process may use, divided by the calls
+    running in it at once (``serve`` runs one per job); a process that
+    :mod:`multiprocessing` started (a pool worker) has one, since its pool
+    already spreads the units over the CPUs.
+    Records equal those of an in-order loop except for the ILP's wall-clock
+    ``time``, measured while the other solves run, and a time-limited ILP's
+    incumbent, which depends on the CPU share it got.
 
     With ``capture_allocations`` every record carries an
     :class:`AllocationPayload` (split + machine counts), letting validation
     campaigns replay exactly the allocation that was solved.
     """
-    cells: list[tuple] = []  # (rho, spec, solver, problem), in record order
-    for rho in target_throughputs:
-        problem = configuration.problem(rho)
-        for spec in algorithms:
-            # stable_text_digest (not hash()) so the seed is identical across
-            # interpreter runs and worker processes regardless of PYTHONHASHSEED
-            seed = derive_seed(
-                base_seed,
-                configuration.index,
-                int(rho),
-                stable_text_digest(spec.name, bits=16),
+    with _spare_cpus() as spare:
+        cells: list = []  # (rho, spec, solver, problem), in record order
+        for rho in target_throughputs:
+            problem = configuration.problem(rho)
+            for spec in algorithms:
+                # stable_text_digest (not hash()) so the seed is identical across
+                # interpreter runs and worker processes regardless of PYTHONHASHSEED
+                seed = derive_seed(
+                    base_seed,
+                    configuration.index,
+                    int(rho),
+                    stable_text_digest(spec.name, bits=16),
+                )
+                cells.append((rho, spec, spec.build(seed=seed), problem))
+        exact = [i for i, (_, _, solver, _) in enumerate(cells) if isinstance(solver, MilpSolver)]
+        width = min(len(exact), spare)
+        solved: dict[int, SolverResult] = {}
+        if width >= 2:
+            with ThreadPoolExecutor(width, thread_name_prefix="repro-ilp") as executor:
+                results = executor.map(
+                    lambda index: cells[index][2].solve(cells[index][3], check=False), exact
+                )
+                solved = dict(zip(exact, results))
+        for index, (rho, spec, solver, problem) in enumerate(cells):
+            cells[index] = None  # a problem is freed after its last cell, as in a plain loop
+            if index in solved:
+                result = solved.pop(index)
+            else:
+                result = solver.solve(problem, check=False)
+            yield RunRecord(
+                configuration=configuration.index,
+                rho=float(rho),
+                algorithm=spec.name,
+                cost=float(result.cost),
+                time=float(result.solve_time),
+                optimal=bool(result.optimal),
+                iterations=int(result.iterations),
+                allocation=AllocationPayload.from_allocation(result.allocation)
+                if capture_allocations
+                else None,
             )
-            cells.append((rho, spec, spec.build(seed=seed), problem))
-    exact = [i for i, (_, _, solver, _) in enumerate(cells) if isinstance(solver, MilpSolver)]
-    width = min(len(exact), _usable_cpus())
-    solved: dict[int, SolverResult] = {}
-    if width >= 2:
-        executor = ThreadPoolExecutor(width, thread_name_prefix="repro-ilp")
-        try:
-            results = executor.map(lambda index: _solve(cells[index]), exact)
-            solved = dict(zip(exact, results))
-        finally:
-            executor.shutdown(cancel_futures=True)
-    for index, cell in enumerate(cells):
-        rho, spec, _, _ = cell
-        result = solved[index] if index in solved else _solve(cell)
-        yield RunRecord(
-            configuration=configuration.index,
-            rho=float(rho),
-            algorithm=spec.name,
-            cost=float(result.cost),
-            time=float(result.solve_time),
-            optimal=bool(result.optimal),
-            iterations=int(result.iterations),
-            allocation=AllocationPayload.from_allocation(result.allocation)
-            if capture_allocations
-            else None,
-        )
 
 
-def _solve(cell: tuple) -> SolverResult:
-    """Solve one ``(rho, spec, solver, problem)`` cell, timed in the thread that runs it."""
-    _, _, solver, problem = cell
-    return solver.solve(problem, check=False)
+#: Calls of :func:`run_configuration` running in this process right now.
+_running_units = 0
+_running_units_lock = threading.Lock()  # serve runs a unit per job thread
+
+
+@contextlib.contextmanager
+def _spare_cpus() -> Iterator[int]:
+    """Count a running unit for the block; yield the CPUs it may solve on at once."""
+    global _running_units
+    with _running_units_lock:
+        _running_units += 1
+        running = _running_units
+    try:
+        # a pool worker gets one: its siblings already use the other CPUs
+        yield 1 if parent_process() is not None else _usable_cpus() // running
+    finally:
+        with _running_units_lock:
+            _running_units -= 1
 
 
 def _usable_cpus() -> int:
@@ -417,10 +438,10 @@ def run_plan(
         the serial backend up to wall-clock timings — except for time-limited
         algorithms (``time_limit`` in their params), whose incumbent-at-timeout
         depends on how much CPU each worker gets (a ``RuntimeWarning`` is
-        emitted for such plans).  A unit solves its ILP cells side by side on
-        threads on every backend, the serial one included (see
-        :func:`run_configuration`), so a time-limited incumbent also depends
-        on the CPU share of its thread in a serial run.
+        emitted for such plans).  In a serial run a unit may solve its ILP
+        cells side by side on threads (see :func:`run_configuration`; pool
+        workers start none), so a time-limited incumbent also depends on the
+        CPU share of its thread there.
     store:
         Optional :class:`~repro.experiments.store.SweepStore` (or its file
         path) checkpointing each completed work unit to append-only JSONL.

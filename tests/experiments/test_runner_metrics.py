@@ -1,10 +1,18 @@
 """Tests for the sweep runner and the figure metrics."""
 
+import gc
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import ConfigurationError, SolverError
 from repro.experiments.config import AlgorithmSpec, ExperimentPlan, default_plan, paper_algorithms
 from repro.experiments.metrics import (
@@ -16,6 +24,7 @@ from repro.experiments.metrics import (
 from repro.experiments import runner
 from repro.experiments.runner import RunRecord, SweepResult, run_configuration, run_plan
 from repro.generators import generate_configuration, get_setting
+from repro.generators.workload import Configuration
 from repro.solvers import MilpSolver
 from repro.utils.rng import derive_seed, stable_text_digest
 
@@ -176,6 +185,106 @@ class TestRunner:
         reference = list(run_configuration(configuration, algorithms, throughputs))
         assert [r.identity() for r in records] == [r.identity() for r in reference]
         assert not [t for t in threading.enumerate() if t.name.startswith("repro-ilp")]
+
+    def test_a_problem_is_freed_after_its_last_record(self, monkeypatch):
+        # a unit builds every cell before it solves; each problem, and the
+        # evaluator it caches, must still go once its last record is out
+        made = []
+        problem = Configuration.problem
+
+        def tracked(configuration, rho):
+            made.append(weakref.ref(result := problem(configuration, rho)))
+            return result
+
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(Configuration, "problem", tracked)
+        configuration = generate_configuration(get_setting("small"), seed=5)
+        algorithms = [AlgorithmSpec("ILP"), AlgorithmSpec("H2", {"iterations": 50})]
+        records = run_configuration(configuration, algorithms, (20.0, 40.0, 60.0))
+        for _ in range(3):  # both records of rho 20, then rho 40's first
+            next(records)
+        gc.collect()
+        freed = [ref() is None for ref in made]
+        records.close()  # a paused unit counts as running until it ends
+        assert freed == [True, False, False]
+
+    def test_units_running_at_once_share_the_cpus(self, monkeypatch):
+        # serve runs a unit per job thread; two running units on two CPUs
+        # leave no spare CPU, so the second solves its ILPs in its own thread
+        solve_split = MilpSolver.solve_split
+        threads = []
+
+        def record_thread(solver, problem):
+            threads.append(threading.current_thread().name)
+            return solve_split(solver, problem)
+
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(MilpSolver, "solve_split", record_thread)
+        configuration = generate_configuration(get_setting("small"), seed=5)
+        algorithms = [AlgorithmSpec("ILP"), AlgorithmSpec("H1")]
+        throughputs = (20.0, 40.0, 60.0, 80.0, 100.0)
+        other = run_configuration(configuration, [AlgorithmSpec("H1")], throughputs)
+        next(other)  # a unit paused between two records is still running
+        alongside = list(run_configuration(configuration, algorithms, throughputs))
+        other.close()
+        alongside_threads = list(threads)
+        threads.clear()
+        alone = list(run_configuration(configuration, algorithms, throughputs))
+        assert alongside_threads == [threading.current_thread().name] * len(throughputs)
+        assert len(threads) == len(throughputs)
+        assert all(name.startswith("repro-ilp") for name in threads)
+        assert [r.identity() for r in alongside] == [r.identity() for r in alone]
+
+    def test_pool_workers_solve_their_ilps_in_their_own_thread(self):
+        # a pool already spreads units over the CPUs; a worker that started
+        # ILP threads of its own would put two solves on each CPU.  A driver
+        # run from `python -c` forks its workers, which inherit the patches;
+        # the pool runs first, so no worker is forked from a process that
+        # has solved
+        code = textwrap.dedent(
+            """
+            import threading
+            from multiprocessing import parent_process
+
+            from repro.core import SolverError
+            from repro.experiments import backends, runner
+            from repro.experiments.backends import ProcessPoolBackend
+            from repro.experiments.config import AlgorithmSpec, ExperimentPlan
+            from repro.generators import get_setting
+            from repro.solvers import MilpSolver
+
+            solve_split = MilpSolver.solve_split
+            threads = []
+
+            def refuse_worker_threads(solver, problem):
+                name = threading.current_thread().name
+                if parent_process() is not None and name.startswith("repro-ilp"):
+                    raise SolverError("a pool worker solved on an ILP thread")
+                threads.append(name)
+                return solve_split(solver, problem)
+
+            runner._usable_cpus = lambda: 2
+            MilpSolver.solve_split = refuse_worker_threads
+            plan = ExperimentPlan(
+                name="pool", setting=get_setting("small"),
+                algorithms=(AlgorithmSpec("ILP"), AlgorithmSpec("H1")),
+                num_configurations=2, target_throughputs=(20.0, 40.0, 60.0),
+            )
+            assert backends._mp_context().get_start_method() == "fork"
+            pooled = runner.run_plan(plan, backend=ProcessPoolBackend(2))
+            assert threads == []
+            serial = runner.run_plan(plan)
+            assert len(threads) == 6 and all(n.startswith("repro-ilp") for n in threads)
+            assert [r.identity() for r in pooled.records] == [
+                r.identity() for r in serial.records
+            ]
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestMetrics:
