@@ -20,6 +20,11 @@ verdict rests on a number measured on another machine:
   ILP cells side by side on threads, and through a replica of the loop that
   solved them one at a time in the calling thread; equal splits and costs,
   and (full mode, >= 2 usable CPUs) the threaded run >= 1.5x faster;
+* **ILP options**: the same ILP cells one at a time through ``MilpSolver``,
+  whose HiGHS runs without its sub-MIP heuristics (RINS, RENS, root reduced
+  cost), and through a replica of its call with HiGHS's defaults; equal costs
+  and ``optimal`` flags (the count of differing, equally optimal splits is
+  reported), and (full mode) ``MilpSolver`` >= 1.5x faster;
 * **DES engine**: every cell of a scenario campaign through ``StreamSimulator``
   with ``engine="fast"`` and ``"reference"``; equal reports once the fast
   engine's ``event_counters`` are stripped, and the fast engine >= 2x faster;
@@ -76,7 +81,7 @@ from repro.simulation import (
     ScenarioSpec,
     StreamSimulator,
 )
-from repro.solvers import MilpSolver
+from repro.solvers import MilpSolver, build_formulation
 
 J_LARGE = 50
 Q_LARGE = 20
@@ -255,6 +260,29 @@ def seed_random_walk(
     return best_split, best_cost, performed
 
 
+def seed_ilp_cell(problem: MinCostProblem) -> tuple:
+    """An ILP cell as ``MilpSolver`` solved it with HiGHS's default options."""
+    from scipy import optimize
+
+    formulation = build_formulation(problem)
+    result = optimize.milp(
+        c=formulation.objective,
+        constraints=optimize.LinearConstraint(
+            formulation.constraint_matrix, formulation.lower, formulation.upper
+        ),
+        integrality=formulation.integrality,
+        bounds=optimize.Bounds(lb=0, ub=np.inf),
+        options={"mip_rel_gap": 0.0},
+    )
+    _, rho = formulation.split_variables(result.x)
+    rho = np.rint(np.maximum(rho, 0.0))
+    deficit = problem.target_throughput - rho.sum()
+    if deficit > 0:
+        rho[int(np.argmax(rho))] += deficit
+    split = tuple(float(v) for v in rho)
+    return split, float(problem.allocation_for(split).cost), bool(result.status == 0)
+
+
 def seed_exact_unit(configuration, throughputs) -> list[tuple]:
     """A unit's ILP cells as the runner solved them before: in order, in this thread."""
     out = []
@@ -408,11 +436,16 @@ def bench_random_walks(problems: list[tuple[str, MinCostProblem]], repeats: int)
     }
 
 
+def exact_unit_configurations(num_configurations: int) -> list:
+    """The configurations of sweep-solve-sized units (medium setting)."""
+    setting = get_setting("medium")
+    return [generate_configuration(setting, seed=2000 + index, index=index)
+            for index in range(num_configurations)]
+
+
 def bench_exact_units(num_configurations: int, repeats: int) -> dict:
     """Sweep-solve-sized units of ILP cells: threaded runner vs one at a time."""
-    setting = get_setting("medium")
-    configurations = [generate_configuration(setting, seed=2000 + index, index=index)
-                      for index in range(num_configurations)]
+    configurations = exact_unit_configurations(num_configurations)
     ilp = [AlgorithmSpec("ILP")]
     # the first solve imports scipy: keep it out of both timings
     seed_exact_unit(configurations[0], EXACT_THROUGHPUTS[:1])
@@ -438,6 +471,30 @@ def bench_exact_units(num_configurations: int, repeats: int) -> dict:
         "threaded_seconds": threaded_time,
         "speedup": seed_time / threaded_time if threaded_time > 0 else float("inf"),
         "identical": threaded_out == seed_out,
+    }
+
+
+def bench_ilp_options(num_configurations: int, repeats: int) -> dict:
+    """The same units' ILP cells one at a time: MilpSolver vs HiGHS's defaults."""
+    problems = [configuration.problem(rho)
+                for configuration in exact_unit_configurations(num_configurations)
+                for rho in EXACT_THROUGHPUTS]
+    # the first solve imports scipy: keep it out of both timings
+    seed_ilp_cell(problems[0])
+
+    def solver_cell(problem: MinCostProblem) -> tuple:
+        result = MilpSolver().solve(problem, check=False)
+        return tuple(float(v) for v in result.split.values), float(result.cost), result.optimal
+
+    seed_time, seed_out = _best_of(lambda: [seed_ilp_cell(p) for p in problems], repeats)
+    solver_time, solver_out = _best_of(lambda: [solver_cell(p) for p in problems], repeats)
+    return {
+        "solves": len(problems),
+        "defaults_seconds": seed_time,
+        "solver_seconds": solver_time,
+        "speedup": seed_time / solver_time if solver_time > 0 else float("inf"),
+        "costs_equal": [cell[1:] for cell in seed_out] == [cell[1:] for cell in solver_out],
+        "splits_differ": sum(a[0] != b[0] for a, b in zip(seed_out, solver_out)),
     }
 
 
@@ -571,6 +628,7 @@ def run(smoke: bool = False) -> dict:
         "fig3_equivalence": check_fig3_costs(**fig3),
         "random_walks": bench_random_walks(walk_problems, repeats),
         "exact_units": bench_exact_units(2 if smoke else 4, repeats),
+        "ilp_options": bench_ilp_options(2 if smoke else 4, repeats),
     }
     plan = build_campaign(smoke)
     # the pool gate runs the campaign's first simulations in this process, as
@@ -601,6 +659,12 @@ def verdict(report: dict) -> list[str]:
     if not report["smoke"] and exact["usable_cpus"] >= 2 and exact["speedup"] < 1.5:
         failures.append(f"threaded ILP units only {exact['speedup']:.2f}x faster than one "
                         f"at a time (fail below 1.50x)")
+    options = report["ilp_options"]
+    if not options["costs_equal"]:
+        failures.append("MilpSolver gives other ILP costs or optimal flags than HiGHS's defaults")
+    if not report["smoke"] and options["speedup"] < 1.5:
+        failures.append(f"MilpSolver only {options['speedup']:.2f}x faster than HiGHS's "
+                        f"defaults (fail below 1.50x)")
     if not engine["reports_identical"]:
         failures.append("fast-engine reports differ from the reference engine's")
     if engine["speedup"] < 2.0:
@@ -647,6 +711,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"exact units ({exact['solves']} ILP solves, {exact['threads']} threads)  "
           f"one-at-a-time={exact['seed_seconds']:.2f}s  threaded={exact['threaded_seconds']:.2f}s"
           f"  speedup={exact['speedup']:.2f}x  identical={exact['identical']}")
+    options = report["ilp_options"]
+    print(f"ILP options ({options['solves']} solves)  defaults={options['defaults_seconds']:.2f}s"
+          f"  MilpSolver={options['solver_seconds']:.2f}s  speedup={options['speedup']:.2f}x  "
+          f"equal_costs={options['costs_equal']}  splits_differ={options['splits_differ']}")
     engine = report["des_engine"]
     print(f"DES engine ({engine['cells']} cells)  reference={engine['reference_seconds']:.2f}s"
           f"  fast={engine['fast_seconds']:.2f}s  speedup={engine['speedup']:.2f}x  "

@@ -14,7 +14,29 @@ from hypothesis import strategies as st
 import repro
 from repro.core import Application, CloudPlatform, MinCostProblem
 from repro.experiments.tables import PAPER_TABLE3_OPTIMAL_COSTS, illustrating_problem
+from repro.generators.workload import generate_configuration, get_setting
 from repro.solvers import ExhaustiveSolver, MilpSolver, build_formulation
+
+
+def subprocess_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+
+
+def highs_defaults_milp(problem: MinCostProblem):
+    """The reference: ``optimize.milp`` on the formulation with HiGHS's defaults,
+    sub-MIP heuristics included, apart from the zero gap that MilpSolver asks for."""
+    from scipy import optimize
+
+    formulation = build_formulation(problem)
+    return optimize.milp(
+        c=formulation.objective,
+        constraints=optimize.LinearConstraint(
+            formulation.constraint_matrix, formulation.lower, formulation.upper
+        ),
+        integrality=formulation.integrality,
+        bounds=optimize.Bounds(lb=0, ub=np.inf),
+        options={"mip_rel_gap": 0.0},
+    )
 
 
 def test_package_imports_without_scipy_until_a_solve():
@@ -43,9 +65,9 @@ def test_package_imports_without_scipy_until_a_solve():
         assert imported_at_start == [True]
         """
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
 
@@ -89,11 +111,76 @@ def test_study_setup_imports_no_scipy_and_sweeps_leave_no_thread():
             assert threading.active_count() == 1, threading.enumerate()
         """
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_solves_raise_no_warning_under_w_error():
+    # scipy warns that it passes MilpSolver's heuristic switches to HiGHS
+    # verbatim; the filter drops that warning from MilpSolver's call alone, on
+    # the unit's ILP threads too, and lets every other warning through
+    code = textwrap.dedent(
+        """
+        import threading
+        import warnings
+
+        from scipy import optimize
+
+        from repro.experiments import runner
+        from repro.experiments.config import AlgorithmSpec
+        from repro.experiments.tables import illustrating_problem
+        from repro.generators.workload import generate_configuration, get_setting
+        from repro.solvers import MilpSolver
+
+        assert MilpSolver().solve(illustrating_problem(70)).cost == 124
+
+        threads = []
+        solve_split = MilpSolver.solve_split
+
+        def record_thread(solver, problem):
+            threads.append(threading.current_thread().name)
+            return solve_split(solver, problem)
+
+        MilpSolver.solve_split = record_thread
+        runner._usable_cpus = lambda: 2
+        configuration = generate_configuration(get_setting("medium"), seed=7)
+        ilp = [AlgorithmSpec("ILP")]
+        records = list(runner.run_configuration(configuration, ilp, (60.0, 140.0)))
+        assert [record.optimal for record in records] == [True, True]
+        assert len(threads) == 2 and all(n.startswith("repro-ilp") for n in threads), threads
+
+        elsewhere = (
+            lambda: optimize.milp(c=[1.0], options={"mip_heuristic_run_rins": False}),
+            lambda: warnings.warn("another warning", RuntimeWarning),
+        )
+        for call in elsewhere:
+            try:
+                call()
+            except RuntimeWarning:
+                continue
+            raise AssertionError("a warning raised elsewhere was dropped")
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=subprocess_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+
+
+def test_cli_ilp_solve_prints_no_warning():
+    command = ["solve", "--algorithm", "ILP", "--setting", "medium", "--seed", "3", "--rho", "100"]
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *command], env=subprocess_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "hourly cost" in result.stdout
+    assert result.stderr == ""
 
 
 class TestFormulation:
@@ -165,6 +252,22 @@ class TestMilpSolver:
         integral = MilpSolver(integer_splits=True).solve(illustrating_problem_70)
         relaxed = MilpSolver(integer_splits=False).solve(illustrating_problem_70)
         assert relaxed.cost <= integral.cost + 1e-9
+
+    @pytest.mark.parametrize("setting", ["small", "medium", "large"])
+    def test_costs_and_optimality_equal_highs_defaults(self, setting):
+        # without its sub-MIP heuristics HiGHS may return another optimal
+        # split, never another cost or optimality verdict
+        configuration = generate_configuration(get_setting(setting), seed=7)
+        for rho in (20.0, 60.0, 100.0, 140.0, 180.0):
+            problem = configuration.problem(rho)
+            reference = highs_defaults_milp(problem)
+            result = MilpSolver().solve(problem)
+            assert result.cost == pytest.approx(reference.fun, rel=1e-12), rho
+            assert result.optimal == (reference.status == 0), rho
+            values = np.asarray(result.split.values)
+            assert np.array_equal(values, np.rint(values)), rho
+            assert values.sum() >= rho
+            assert problem.evaluate_split(result.split) == result.cost
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
